@@ -609,7 +609,7 @@ pub fn parallel_scaling() {
         (
             "CMult",
             Box::new(|| {
-                let _ = h.eval.mul(&h.ct_a, &h.ct_b, &h.keys);
+                let _ = h.eval.try_mul(&h.ct_a, &h.ct_b, &h.keys).expect("cmult");
             }),
         ),
         (
@@ -621,7 +621,7 @@ pub fn parallel_scaling() {
         (
             "Rescale",
             Box::new(|| {
-                let _ = h.eval.rescale(&h.ct_a);
+                let _ = h.eval.try_rescale(&h.ct_a).expect("rescale");
             }),
         ),
     ];
@@ -784,7 +784,7 @@ pub fn hoisting() {
         .collect();
     let seed_rotate = |a: &Ciphertext, s: i64| {
         let (g, key) = &stripped[&s];
-        eval.apply_galois(a, *g, key)
+        eval.apply_galois_hoisted(a, &eval.hoist(a), *g, key)
     };
 
     let reg = Registry::global();
@@ -805,9 +805,16 @@ pub fn hoisting() {
     // -- 8 rotations of one ciphertext ------------------------------------
     let steps: Vec<i64> = (1..=8).collect();
     let (r_seed, d_seed) = measure(&mut || steps.iter().map(|&s| seed_rotate(&ct, s)).collect());
-    let (r_cached, d_cached) =
-        measure(&mut || steps.iter().map(|&s| eval.rotate(&ct, s, &keys)).collect());
-    let (r_hoist, d_hoist) = measure(&mut || eval.rotate_many(&ct, &steps, &keys));
+    let (r_cached, d_cached) = measure(&mut || {
+        steps
+            .iter()
+            .map(|&s| eval.try_rotate(&ct, s, &keys).expect("rotation key"))
+            .collect()
+    });
+    let (r_hoist, d_hoist) = measure(&mut || {
+        eval.try_rotate_many(&ct, &steps, &keys)
+            .expect("rotation keys")
+    });
     assert_eq!(r_seed, r_cached, "key cache changed rotation bits");
     assert_eq!(r_cached, r_hoist, "hoisted batch changed rotation bits");
 
@@ -836,7 +843,7 @@ pub fn hoisting() {
     );
 
     // -- 8-rotation BSGS matvec -------------------------------------------
-    // The unhoisted reference replays `PlainMatrix::apply_bsgs` with the
+    // The unhoisted reference replays `PlainMatrix::try_apply_bsgs` with the
     // seed-path rotation for every baby and giant step; the hoisted run is
     // the shipped method. Both produce identical ciphertexts, so the NTT
     // delta is pure dataflow.
@@ -868,7 +875,7 @@ pub fn hoisting() {
             let mut inner: Option<Ciphertext> = None;
             for (b, ct_b) in baby.iter().enumerate().take(bs) {
                 let d = g * bs + b;
-                // Same zero-diagonal skip as `apply_bsgs`.
+                // Same zero-diagonal skip as `try_apply_bsgs`.
                 if d >= DIM || m.diagonal(d).iter().all(|c| c.abs() < 1e-300) {
                     continue;
                 }
@@ -880,7 +887,7 @@ pub fn hoisting() {
                 let term = eval.mul_plain(ct_b, &pt);
                 match &mut inner {
                     None => inner = Some(term),
-                    Some(a) => eval.add_assign(a, &term),
+                    Some(a) => eval.try_add_assign(a, &term).expect("aligned terms"),
                 }
             }
             if let Some(inner) = inner {
@@ -891,14 +898,16 @@ pub fn hoisting() {
                 };
                 match &mut acc {
                     None => acc = Some(shifted),
-                    Some(a) => eval.add_assign(a, &shifted),
+                    Some(a) => eval.try_add_assign(a, &shifted).expect("aligned terms"),
                 }
             }
         }
-        eval.rescale(&acc.expect("non-zero matrix"))
+        eval.try_rescale(&acc.expect("non-zero matrix"))
+            .expect("level to rescale")
     };
     let (v_seed, b_seed) = measure(&mut || vec![bsgs_seed(&ct)]);
-    let (v_hoist, b_hoist) = measure(&mut || vec![m.apply_bsgs(&eval, &keys, &ct)]);
+    let (v_hoist, b_hoist) =
+        measure(&mut || vec![m.try_apply_bsgs(&eval, &keys, &ct).expect("bsgs matvec")]);
     assert_eq!(v_seed, v_hoist, "hoisted BSGS changed matvec bits");
 
     println!("\n-- 8-rotation BSGS matvec, dim 32, band 24 (bit-identical outputs) --");
@@ -1045,8 +1054,10 @@ pub fn ntt_end_to_end(iters: u32) -> Vec<(&'static str, f64, f64)> {
                 .collect(),
         );
 
-        let rotated = eval.rotate_many(&ct, &steps, &keys);
-        let matvec = m.apply_bsgs(&eval, &keys, &ct);
+        let rotated = eval
+            .try_rotate_many(&ct, &steps, &keys)
+            .expect("rotation keys");
+        let matvec = m.try_apply_bsgs(&eval, &keys, &ct).expect("bsgs matvec");
         match &reference {
             None => reference = Some((rotated, matvec)),
             Some((r, v)) => {
@@ -1057,12 +1068,15 @@ pub fn ntt_end_to_end(iters: u32) -> Vec<(&'static str, f64, f64)> {
 
         let start = Instant::now();
         for _ in 0..iters {
-            std::hint::black_box(eval.rotate_many(&ct, &steps, &keys));
+            std::hint::black_box(
+                eval.try_rotate_many(&ct, &steps, &keys)
+                    .expect("rotation keys"),
+            );
         }
         let rotate_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
         let start = Instant::now();
         for _ in 0..iters {
-            std::hint::black_box(m.apply_bsgs(&eval, &keys, &ct));
+            std::hint::black_box(m.try_apply_bsgs(&eval, &keys, &ct).expect("bsgs matvec"));
         }
         let bsgs_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
         rows.push((kind.name(), rotate_ms, bsgs_ms));
@@ -1135,7 +1149,7 @@ fn helr_kernel<B: poseidon_core::HomomorphicOps>(
     x: &he_ckks::cipher::Ciphertext,
     weights: &[f64],
     bias: f64,
-) -> he_ckks::cipher::Ciphertext {
+) -> Result<he_ckks::cipher::Ciphertext, he_ckks::error::EvalError> {
     use he_ckks::cipher::Plaintext;
     use he_ckks::encoding::Complex;
     let enc = |z: &[Complex], scale: f64, level: usize| {
@@ -1146,21 +1160,21 @@ fn helr_kernel<B: poseidon_core::HomomorphicOps>(
     };
     let w: Vec<Complex> = weights.iter().map(|&w| Complex::new(w, 0.0)).collect();
     let w_pt = enc(&w, ctx.default_scale(), x.level());
-    let wx = backend.mul_plain(x, &w_pt);
-    let mut acc = backend.rescale(&wx);
+    let wx = backend.try_mul_plain(x, &w_pt)?;
+    let mut acc = backend.try_rescale(&wx)?;
     let mut step = 1;
     while step < weights.len() {
-        let r = backend.rotate(&acc, step as i64, keys);
-        acc = backend.add(&acc, &r);
+        let r = backend.try_rotate(&acc, step as i64, keys)?;
+        acc = backend.try_add(&acc, &r)?;
         step *= 2;
     }
     let bias_pt = enc(&[Complex::new(bias, 0.0)], acc.scale(), acc.level());
-    let logit = backend.add_plain(&acc, &bias_pt);
-    let sq = backend.square(&logit, keys);
-    let z2 = backend.rescale(&sq);
-    let z_low = backend.drop_to_level(&logit, z2.level());
-    let prod = backend.mul(&z2, &z_low, keys);
-    backend.rescale(&prod)
+    let logit = backend.try_add_plain(&acc, &bias_pt)?;
+    let sq = backend.try_square(&logit, keys)?;
+    let z2 = backend.try_rescale(&sq)?;
+    let z_low = backend.try_drop_to_level(&logit, z2.level())?;
+    let prod = backend.try_mul(&z2, &z_low, keys)?;
+    backend.try_rescale(&prod)
 }
 
 /// `tables metrics`: runtime per-operator telemetry for a HELR scoring
@@ -1206,12 +1220,13 @@ pub fn metrics() {
     // populating the eval.* / keyswitch.* / rns.* / ntt.* scopes.
     let eval = Evaluator::new(&ctx);
     let model = LogisticModel::new(&weights, bias);
-    let _score = model.score(&eval, &keys, &ct);
+    model.try_score(&eval, &keys, &ct).expect("HELR score");
 
     // Machine run of the kernel through the shared trait: every element
     // retired by an operator core is counted AND timed.
     let mut machine = PoseidonMachine::new(&ctx, 256, 2);
-    let out = helr_kernel(&mut machine, &ctx, &keys, &ct, &weights, bias);
+    let out = helr_kernel(&mut machine, &ctx, &keys, &ct, &weights, bias)
+        .expect("HELR kernel on the machine");
     let got = {
         let pt = keys.secret().decrypt(&out);
         ctx.encoder()
@@ -1342,8 +1357,8 @@ pub fn faults() {
     };
     let a = encrypt(1.25, &mut rng);
     let b = encrypt(-0.5, &mut rng);
-    let clean_mul = eval.mul(&a, &b, &keys);
-    let clean_rot = eval.rotate(&a, 1, &keys);
+    let clean_mul = eval.try_mul(&a, &b, &keys).expect("clean mul");
+    let clean_rot = eval.try_rotate(&a, 1, &keys).expect("rotation key");
 
     // The checked workload a campaign attacks: one relinearising CMult and
     // one rotation — together they traverse every evaluator-side site
@@ -1457,7 +1472,7 @@ pub fn faults() {
     const REPS: u32 = 10;
     let t0 = Instant::now();
     for _ in 0..REPS {
-        std::hint::black_box(eval.mul(&a, &b, &keys));
+        std::hint::black_box(eval.try_mul(&a, &b, &keys).expect("plain mul"));
     }
     let plain = t0.elapsed().as_secs_f64() / f64::from(REPS);
     let t1 = Instant::now();
@@ -1540,7 +1555,7 @@ pub fn serve() {
             },
         )
         .expect("served mul");
-    let local = eval.mul(&a, &b, &keys);
+    let local = eval.try_mul(&a, &b, &keys).expect("local mul");
     assert_eq!(served.c0(), local.c0(), "served mul diverged from local");
     println!("\nserved CMult is bit-identical to the local evaluator");
 

@@ -7,10 +7,11 @@
 
 use crate::cipher::Ciphertext;
 use crate::encoding::Complex;
+use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::KeySet;
-use crate::linear::{fold_sum, inner_product_plain};
-use crate::polyeval::evaluate_monomial;
+use crate::linear::{try_fold_sum, try_inner_product_plain};
+use crate::polyeval::try_evaluate_monomial;
 
 /// The HELR degree-3 sigmoid approximation on [−4, 4]:
 /// σ(x) ≈ 0.5 + 0.197·x − 0.004·x³.
@@ -51,27 +52,30 @@ impl LogisticModel {
     /// Scores an encrypted feature vector: `σ(⟨w, x⟩ + b)` via the HELR
     /// polynomial. Consumes 3–4 levels.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if rotation keys for the fold are missing or the chain runs
-    /// out of levels.
-    pub fn score(&self, eval: &Evaluator, keys: &KeySet, x: &Ciphertext) -> Ciphertext {
-        let logit = inner_product_plain(eval, keys, x, &self.weights);
+    /// [`EvalError::MissingRotationKey`] for an absent fold key;
+    /// [`EvalError::RescaleAtLevelZero`] when the chain runs out of levels.
+    pub fn try_score(
+        &self,
+        eval: &Evaluator,
+        keys: &KeySet,
+        x: &Ciphertext,
+    ) -> Result<Ciphertext, EvalError> {
+        let logit = try_inner_product_plain(eval, keys, x, &self.weights)?;
         // Add the bias before the sigmoid.
-        let with_bias = {
-            let pt = eval.encode_at_level(
-                &[Complex::new(self.bias, 0.0)],
-                logit.scale(),
-                logit.level(),
-            );
-            eval.add_plain(&logit, &pt)
-        };
-        evaluate_monomial(eval, keys, &with_bias, &HELR_SIGMOID)
+        let pt = eval.encode_at_level(
+            &[Complex::new(self.bias, 0.0)],
+            logit.scale(),
+            logit.level(),
+        );
+        let with_bias = eval.try_add_plain(&logit, &pt)?;
+        try_evaluate_monomial(eval, keys, &with_bias, &HELR_SIGMOID)
     }
 
-    /// Plaintext reference of [`score`] for validation.
+    /// Plaintext reference of [`try_score`] for validation.
     ///
-    /// [`score`]: Self::score
+    /// [`try_score`]: Self::try_score
     pub fn score_plain(&self, x: &[f64]) -> f64 {
         let logit: f64 = x
             .iter()
@@ -87,30 +91,42 @@ impl LogisticModel {
 /// — the per-cell computation of the paper's LSTM benchmark
 /// (`y ← σ(W0·y + W1·x)` with a cubic σ).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if rotation keys for the fold are missing.
-pub fn polynomial_neuron(
+/// [`EvalError::MissingRotationKey`] for an absent fold key;
+/// [`EvalError::EmptyOperands`] for an empty activation or a
+/// non-power-of-two weight vector.
+pub fn try_polynomial_neuron(
     eval: &Evaluator,
     keys: &KeySet,
     x: &Ciphertext,
     weights: &[Complex],
     activation: &[f64],
-) -> Ciphertext {
-    let s = inner_product_plain(eval, keys, x, weights);
-    evaluate_monomial(eval, keys, &s, activation)
+) -> Result<Ciphertext, EvalError> {
+    let s = try_inner_product_plain(eval, keys, x, weights)?;
+    try_evaluate_monomial(eval, keys, &s, activation)
 }
 
 /// Mean of the first `width` slots, landing in every slot (a building
 /// block of encrypted statistics; one level).
-pub fn slot_mean(eval: &Evaluator, keys: &KeySet, x: &Ciphertext, width: usize) -> Ciphertext {
-    let total = fold_sum(eval, keys, x, width);
+///
+/// # Errors
+///
+/// As [`try_fold_sum`], plus [`EvalError::RescaleAtLevelZero`] on an
+/// exhausted ciphertext.
+pub fn try_slot_mean(
+    eval: &Evaluator,
+    keys: &KeySet,
+    x: &Ciphertext,
+    width: usize,
+) -> Result<Ciphertext, EvalError> {
+    let total = try_fold_sum(eval, keys, x, width)?;
     let pt = eval.encode_at_level(
         &[Complex::new(1.0 / width as f64, 0.0)],
         eval.context().default_scale(),
         total.level(),
     );
-    eval.rescale(&eval.mul_plain(&total, &pt))
+    eval.try_rescale(&eval.mul_plain(&total, &pt))
 }
 
 #[cfg(test)]
@@ -154,20 +170,21 @@ mod tests {
     }
 
     #[test]
-    fn logistic_score_matches_plaintext() {
+    fn logistic_score_matches_plaintext() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup(8);
         let model = LogisticModel::new(&[0.2, -0.4, 0.1, 0.3, -0.2, 0.05, 0.15, -0.1], 0.25);
         let x = [1.0, 0.5, -1.0, 2.0, 0.0, -0.5, 1.5, 0.75];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &model.score(&eval, &keys, &ct));
+        let got = decrypt0(&ctx, &keys, &model.try_score(&eval, &keys, &ct)?);
         let want = model.score_plain(&x);
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
         // Probabilities stay in a sane range for bounded logits.
         assert!(got > 0.0 && got < 1.0);
+        Ok(())
     }
 
     #[test]
-    fn neuron_applies_cubic_activation() {
+    fn neuron_applies_cubic_activation() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup(4);
         let w: Vec<Complex> = [0.25, 0.5, -0.25, 0.1]
             .iter()
@@ -176,19 +193,25 @@ mod tests {
         let act = [0.0, 1.0, 0.0, -0.15]; // x − 0.15x³
         let x = [2.0, -1.0, 0.5, 1.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &polynomial_neuron(&eval, &keys, &ct, &w, &act));
+        let got = decrypt0(
+            &ctx,
+            &keys,
+            &try_polynomial_neuron(&eval, &keys, &ct, &w, &act)?,
+        );
         let s: f64 = x.iter().zip(&w).map(|(a, b)| a * b.re).sum();
         let want = s - 0.15 * s * s * s;
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
+        Ok(())
     }
 
     #[test]
-    fn slot_mean_averages() {
+    fn slot_mean_averages() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup(8);
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt0(&ctx, &keys, &slot_mean(&eval, &keys, &ct, 8));
+        let got = decrypt0(&ctx, &keys, &try_slot_mean(&eval, &keys, &ct, 8)?);
         assert!((got - 4.5).abs() < 0.02, "{got}");
+        Ok(())
     }
 
     #[test]

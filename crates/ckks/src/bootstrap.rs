@@ -188,9 +188,9 @@ impl Bootstrapper {
     }
 
     /// The rotation steps whose Galois keys must be generated before
-    /// calling [`bootstrap`] (conjugation key needed as well).
+    /// calling [`try_bootstrap`] (conjugation key needed as well).
     ///
-    /// [`bootstrap`]: Self::bootstrap
+    /// [`try_bootstrap`]: Self::try_bootstrap
     pub fn required_rotations(&self) -> Vec<i64> {
         let mut steps: Vec<i64> = (1..self.slots as i64).collect();
         // SubSum trace rotations.
@@ -205,22 +205,8 @@ impl Bootstrapper {
         steps
     }
 
-    /// ModRaise: reinterpret a level-0 ciphertext modulo the full chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the ciphertext is at level 0.
-    pub fn mod_raise(&self, ct: &Ciphertext) -> Ciphertext {
-        match self.try_mod_raise(ct) {
-            Ok(ct) => ct,
-            Err(EvalError::LevelMismatch { .. }) => {
-                panic!("ModRaise expects an exhausted ciphertext")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`mod_raise`](Self::mod_raise).
+    /// ModRaise (step 1): reinterpret a level-0 ciphertext modulo the
+    /// full chain.
     ///
     /// # Errors
     ///
@@ -292,13 +278,7 @@ impl Bootstrapper {
         Ok(out)
     }
 
-    /// SubSum: trace onto the sparse subring (step 2).
-    pub fn subsum(&self, eval: &Evaluator, keys: &KeySet, ct: &Ciphertext) -> Ciphertext {
-        self.try_subsum(eval, keys, ct)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`subsum`](Self::subsum).
+    /// SubSum (step 2): trace onto the sparse subring.
     ///
     /// # Errors
     ///
@@ -314,7 +294,7 @@ impl Bootstrapper {
         let total = self.ctx.n() / 2;
         // The fold rotates the evolving accumulator, so consecutive
         // rotations never share an input and hoisting across them does not
-        // apply — each `rotate` is already hoisted internally.
+        // apply — each `try_rotate` is already hoisted internally.
         let mut acc = ct.clone();
         let mut s = self.slots;
         while s < total {
@@ -327,20 +307,6 @@ impl Bootstrapper {
 
     /// CoeffToSlot (step 3): returns `(ct_low, ct_high)` whose slots hold
     /// the low/high halves of the sparse coefficient vector.
-    pub fn coeff_to_slot(
-        &self,
-        eval: &Evaluator,
-        keys: &KeySet,
-        ct: &Ciphertext,
-    ) -> (Ciphertext, Ciphertext) {
-        match self.try_coeff_to_slot(eval, keys, ct) {
-            Ok(pair) => pair,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`coeff_to_slot`](Self::coeff_to_slot).
     ///
     /// # Errors
     ///
@@ -370,22 +336,7 @@ impl Bootstrapper {
         Ok((low, high))
     }
 
-    /// SlotToCoeff (step 5).
-    pub fn slot_to_coeff(
-        &self,
-        eval: &Evaluator,
-        keys: &KeySet,
-        low: &Ciphertext,
-        high: &Ciphertext,
-    ) -> Ciphertext {
-        match self.try_slot_to_coeff(eval, keys, low, high) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`slot_to_coeff`](Self::slot_to_coeff).
+    /// SlotToCoeff (step 5): recombines both halves into one ciphertext.
     ///
     /// # Errors
     ///
@@ -413,12 +364,6 @@ impl Bootstrapper {
 
     /// EvalMod (step 4): approximates `x mod q_0` on the slot values of
     /// `ct`, accounting for the trace factor `D = N/(2n')`.
-    pub fn eval_mod(&self, eval: &Evaluator, keys: &KeySet, ct: &Ciphertext) -> Ciphertext {
-        self.try_eval_mod(eval, keys, ct)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`eval_mod`](Self::eval_mod).
     ///
     /// # Errors
     ///
@@ -494,27 +439,10 @@ impl Bootstrapper {
 
     /// Runs the full bootstrapping pipeline on an exhausted (level 0)
     /// ciphertext, returning a refreshed ciphertext at a high level whose
-    /// slots approximate the original message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if required rotation/conjugation keys are missing or the
-    /// input is not at level 0.
-    pub fn bootstrap(&self, eval: &Evaluator, keys: &KeySet, ct: &Ciphertext) -> Ciphertext {
-        match self.try_bootstrap(eval, keys, ct) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(EvalError::LevelMismatch { .. }) => {
-                panic!("ModRaise expects an exhausted ciphertext")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`bootstrap`](Self::bootstrap): every degenerate input —
+    /// slots approximate the original message. Every degenerate input —
     /// missing keys, a chain too short for EvalMod, a non-exhausted input,
     /// an all-zero transform matrix — comes back as a typed
-    /// [`EvalError`] instead of aborting the process.
+    /// [`EvalError`].
     ///
     /// # Errors
     ///
@@ -584,7 +512,8 @@ fn invert_real(m: &[Vec<f64>]) -> Vec<Vec<f64>> {
 /// Truncates a ciphertext to level 0 — test/demo utility producing the
 /// "exhausted" input bootstrapping expects.
 pub fn exhaust_to_level0(eval: &Evaluator, ct: &Ciphertext) -> Ciphertext {
-    eval.drop_to_level(ct, 0)
+    eval.try_drop_to_level(ct, 0)
+        .expect("every ciphertext is at level 0 or above")
 }
 
 /// Encrypt-ready plaintext helper used by the bootstrapping demo binaries.
@@ -672,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn mod_raise_preserves_message_mod_q0() {
+    fn mod_raise_preserves_message_mod_q0() -> Result<(), EvalError> {
         let ctx = CkksContext::new(CkksParams::toy());
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let keys = KeySet::generate_sparse(&ctx, 8, &mut rng);
@@ -682,7 +611,7 @@ mod tests {
         let pt = encode_for_bootstrap(&ctx, &z);
         let ct = keys.public().encrypt(&pt, &mut rng);
         let exhausted = exhaust_to_level0(&eval, &ct);
-        let raised = bs.mod_raise(&exhausted);
+        let raised = bs.try_mod_raise(&exhausted)?;
         assert_eq!(raised.level(), ctx.max_level());
         // Decrypting the raised ciphertext yields m + q0·I; check mod q0.
         let dec = keys.secret().decrypt(&raised);
@@ -696,6 +625,14 @@ mod tests {
         for (a, b) in coeffs.iter().zip(&direct) {
             assert_eq!(a.rem_euclid(q0 as i64), b.rem_euclid(q0 as i64));
         }
+        assert_eq!(
+            bs.try_mod_raise(&ct),
+            Err(EvalError::LevelMismatch {
+                a: ct.level(),
+                b: 0
+            })
+        );
+        Ok(())
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Typed errors for the fallible evaluation and construction paths.
 //!
-//! The panicking convenience methods ([`Evaluator::rotate`],
-//! [`Evaluator::conjugate`], [`CkksContext::new`]) are thin wrappers over
-//! `try_` counterparts returning these errors, so library users embedding
-//! the scheme in a service can handle missing keys or bad parameters
-//! without unwinding.
+//! Every homomorphic operation that can reject its operands
+//! ([`Evaluator::try_rotate`], [`Evaluator::try_add`], …) returns these
+//! errors, so library users embedding the scheme in a service can handle
+//! missing keys or mismatched operands without unwinding. Constructors
+//! still panic on invalid parameters; [`CkksContext::try_new`] is the
+//! fallible form of [`CkksContext::new`].
 //!
-//! [`Evaluator::rotate`]: crate::eval::Evaluator::rotate
-//! [`Evaluator::conjugate`]: crate::eval::Evaluator::conjugate
+//! [`Evaluator::try_rotate`]: crate::eval::Evaluator::try_rotate
+//! [`Evaluator::try_add`]: crate::eval::Evaluator::try_add
 //! [`CkksContext::new`]: crate::context::CkksContext::new
+//! [`CkksContext::try_new`]: crate::context::CkksContext::try_new
 
 use std::fmt;
 
@@ -42,8 +44,8 @@ pub enum EvalError {
     /// [`CkksParams::validate`]: crate::params::CkksParams::validate
     InvalidParams(String),
     /// Operand levels disagree where the operation needs them pre-aligned
-    /// (e.g. `add_assign`), or a level would have to be *raised* by
-    /// truncation (`drop_to_level`).
+    /// (e.g. `try_add_assign`), or a level would have to be *raised* by
+    /// truncation (`try_drop_to_level`).
     LevelMismatch {
         /// Level of the first operand (or the current level).
         a: usize,
@@ -57,7 +59,7 @@ pub enum EvalError {
         /// Scale of the second operand.
         b: f64,
     },
-    /// An operand list was empty (`add_many`, `linear_combination`), or a
+    /// An operand list was empty (`try_add_many`, `try_linear_combination`), or a
     /// paired list (weights) had mismatched length.
     EmptyOperands,
     /// Rescale requested at level 0 — no chain prime left to drop.
@@ -91,8 +93,7 @@ impl fmt::Display for EvalError {
             EvalError::LevelMismatch { a, b } => {
                 write!(f, "level mismatch: {a} vs {b}")
             }
-            // Exact legacy `assert_scales_match` panic text: downstream
-            // should_panic tests match the "scale mismatch" prefix.
+            // Stable text: TCP error replies carry it verbatim.
             EvalError::ScaleMismatch { a, b } => write!(f, "scale mismatch: {a} vs {b}"),
             EvalError::EmptyOperands => write!(f, "need at least one ciphertext"),
             EvalError::RescaleAtLevelZero => write!(f, "cannot rescale at level 0"),
@@ -116,10 +117,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_matches_legacy_panic_messages() {
-        // The panicking wrappers format these errors, so the historical
-        // panic substrings (asserted by downstream should_panic tests)
-        // must survive verbatim.
+    fn display_text_is_stable() {
+        // The Display text is part of the error contract: TCP error
+        // replies carry it verbatim, so the historical wording stays.
         assert_eq!(
             EvalError::MissingRotationKey { steps: -3 }.to_string(),
             "missing rotation key for -3 steps"
@@ -131,8 +131,7 @@ mod tests {
         assert!(EvalError::InvalidParams("n must be a power of two".into())
             .to_string()
             .starts_with("invalid CKKS parameters"));
-        // "scale mismatch: {a} vs {b}" is the exact assert_scales_match
-        // text the should_panic tests match on.
+        // "scale mismatch: {a} vs {b}" keeps its historical wording.
         assert_eq!(
             EvalError::ScaleMismatch { a: 2.0, b: 6.0 }.to_string(),
             "scale mismatch: 2 vs 6"

@@ -3,13 +3,18 @@
 //!
 //! | paper operation | method |
 //! |---|---|
-//! | HAdd (ct+ct, ct+pt)   | [`Evaluator::add`], [`Evaluator::add_plain`] |
+//! | HAdd (ct+ct, ct+pt)   | [`Evaluator::try_add`], [`Evaluator::try_add_plain`] |
 //! | PMult                 | [`Evaluator::mul_plain`], [`Evaluator::mul_const`] |
-//! | CMult + relinearise   | [`Evaluator::mul`] |
-//! | Rescale               | [`Evaluator::rescale`] |
+//! | CMult + relinearise   | [`Evaluator::try_mul`] |
+//! | Rescale               | [`Evaluator::try_rescale`] |
 //! | Keyswitch (Modup/RNSconv/Moddown) | [`Evaluator::keyswitch`] |
-//! | Rotation (automorphism + keyswitch) | [`Evaluator::rotate`] |
-//! | Conjugation           | [`Evaluator::conjugate`] |
+//! | Rotation (automorphism + keyswitch) | [`Evaluator::try_rotate`] |
+//! | Conjugation           | [`Evaluator::try_conjugate`] |
+//!
+//! Every operation that can reject its operands returns
+//! `Result<_, EvalError>` and carries the `try_` prefix; there is no
+//! panicking twin. Operations that cannot fail (`mul_plain`, `neg`,
+//! `keyswitch`, `hoist`) return their result directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -148,12 +153,16 @@ impl Evaluator {
         &self.ctx
     }
 
-    fn align(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
+    fn align(&self, a: &Ciphertext, b: &Ciphertext) -> Result<(Ciphertext, Ciphertext), EvalError> {
         let level = a.level().min(b.level());
-        (self.drop_to_level(a, level), self.drop_to_level(b, level))
+        Ok((
+            self.try_drop_to_level(a, level)?,
+            self.try_drop_to_level(b, level)?,
+        ))
     }
 
-    /// Fallible [`drop_to_level`](Self::drop_to_level).
+    /// Drops a ciphertext to a lower level without rescaling (modulus
+    /// truncation).
     ///
     /// # Errors
     ///
@@ -180,25 +189,15 @@ impl Evaluator {
         ))
     }
 
-    /// Drops a ciphertext to a lower level without rescaling (modulus
-    /// truncation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds the current level.
-    pub fn drop_to_level(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_drop_to_level(ct, level)
-            .unwrap_or_else(|_| panic!("cannot raise level by truncation"))
-    }
-
-    /// Fallible [`add`](Self::add).
+    /// Homomorphic addition (paper HAdd, ct+ct). Operands are aligned to
+    /// the lower level; scales must match to within floating slack.
     ///
     /// # Errors
     ///
     /// [`EvalError::ScaleMismatch`] if the scales differ by more than
     /// 0.01 %.
     pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        let (a, b) = self.align(a, b);
+        let (a, b) = self.align(a, b)?;
         check_scales_match(a.scale(), b.scale())?;
         Ok(Ciphertext::new(
             a.c0().add(b.c0()),
@@ -207,17 +206,14 @@ impl Evaluator {
         ))
     }
 
-    /// Homomorphic addition (paper HAdd, ct+ct). Operands are aligned to
-    /// the lower level; scales must match to within floating slack.
+    /// In-place homomorphic addition `acc += term` — the accumulation form
+    /// used by [`try_add_many`]/[`try_linear_combination`] so summing `k`
+    /// terms reuses one allocation instead of cloning per term. Unlike
+    /// [`try_add`], operands must already sit at the same level.
     ///
-    /// # Panics
-    ///
-    /// Panics if the scales differ by more than 0.01 %.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`add_assign`](Self::add_assign).
+    /// [`try_add`]: Self::try_add
+    /// [`try_add_many`]: Self::try_add_many
+    /// [`try_linear_combination`]: Self::try_linear_combination
     ///
     /// # Errors
     ///
@@ -236,33 +232,15 @@ impl Evaluator {
         Ok(())
     }
 
-    /// In-place homomorphic addition `acc += term` — the accumulation form
-    /// used by [`add_many`]/[`linear_combination`] so summing `k` terms
-    /// reuses one allocation instead of cloning per term. Unlike [`add`],
-    /// operands must already sit at the same level.
-    ///
-    /// [`add`]: Self::add
-    /// [`add_many`]: Self::add_many
-    /// [`linear_combination`]: Self::linear_combination
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ or scales disagree by more than 0.01 %.
-    pub fn add_assign(&self, acc: &mut Ciphertext, term: &Ciphertext) {
-        self.try_add_assign(acc, term).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("add_assign needs pre-aligned levels"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`sub`](Self::sub).
+    /// Homomorphic subtraction (HAdd cost class), aligned like
+    /// [`try_add`](Self::try_add).
     ///
     /// # Errors
     ///
     /// [`EvalError::ScaleMismatch`] if the scales differ by more than
     /// 0.01 %.
     pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        let (a, b) = self.align(a, b);
+        let (a, b) = self.align(a, b)?;
         check_scales_match(a.scale(), b.scale())?;
         Ok(Ciphertext::new(
             a.c0().sub(b.c0()),
@@ -271,21 +249,13 @@ impl Evaluator {
         ))
     }
 
-    /// Homomorphic subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales differ by more than 0.01 %.
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Negation.
     pub fn neg(&self, a: &Ciphertext) -> Ciphertext {
         Ciphertext::new(a.c0().neg(), a.c1().neg(), a.scale())
     }
 
-    /// Fallible [`add_plain`](Self::add_plain).
+    /// Ciphertext + plaintext addition (paper HAdd, ct+pt): adds `m` to
+    /// `c_0` only.
     ///
     /// # Errors
     ///
@@ -297,17 +267,7 @@ impl Evaluator {
         Ok(Ciphertext::new(a.c0().add(&m), a.c1().clone(), a.scale()))
     }
 
-    /// Ciphertext + plaintext addition (paper HAdd, ct+pt): adds `m` to
-    /// `c_0` only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales disagree by more than 0.01 %.
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`sub_plain`](Self::sub_plain).
+    /// Ciphertext − plaintext.
     ///
     /// # Errors
     ///
@@ -317,15 +277,6 @@ impl Evaluator {
         check_scales_match(a.scale(), pt.scale())?;
         let m = pt.poly().truncate_basis(a.level() + 1);
         Ok(Ciphertext::new(a.c0().sub(&m), a.c1().clone(), a.scale()))
-    }
-
-    /// Ciphertext − plaintext.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales disagree by more than 0.01 %.
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_sub_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Plaintext multiplication (paper PMult): `(c_0·m, c_1·m)` with scale
@@ -360,26 +311,20 @@ impl Evaluator {
 
     /// Ciphertext multiplication with relinearisation (paper CMult):
     /// computes `(d_0, d_1, d_2)` and folds `d_2` back with the relin key.
-    /// Result scale is Δ_a · Δ_b; rescale afterwards.
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_mul(a, b, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`mul`](Self::mul). Today the only failure mode is an
-    /// integrity escalation reported by the checked evaluation layer; the
-    /// plain path always succeeds but shares this signature so callers can
-    /// swap in checked execution without changing control flow.
+    /// Operands are aligned to the lower level. Result scale is Δ_a · Δ_b;
+    /// rescale afterwards.
     ///
     /// # Errors
     ///
-    /// Reserved for [`EvalError::IntegrityFault`] under checked execution.
+    /// The plain path always succeeds; the signature is shared with the
+    /// checked layer, which reports [`EvalError::IntegrityFault`].
     pub fn try_mul(
         &self,
         a: &Ciphertext,
         b: &Ciphertext,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
-        let (a, b) = self.align(a, b);
+        let (a, b) = self.align(a, b)?;
         #[cfg(feature = "telemetry")]
         let _span = self.tel.mul.span(((a.level() + 1) * self.ctx.n()) as u64);
         let a0 = a.c0().clone().into_eval();
@@ -397,15 +342,12 @@ impl Evaluator {
         ))
     }
 
-    /// Squares a ciphertext (saves one eval-form product vs [`mul`]).
+    /// Squares a ciphertext (saves one eval-form product vs
+    /// [`try_mul`](Self::try_mul), whose error contract it shares).
     ///
-    /// [`mul`]: Self::mul
-    pub fn square(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_square(a, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`square`](Self::square); see [`try_mul`](Self::try_mul)
-    /// for the error contract.
+    /// # Errors
+    ///
+    /// As [`try_mul`](Self::try_mul).
     pub fn try_square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         #[cfg(feature = "telemetry")]
         let _span = self.tel.mul.span(((a.level() + 1) * self.ctx.n()) as u64);
@@ -515,9 +457,9 @@ impl Evaluator {
     /// `h`: the automorphism acts on the pre-NTT'd digits as a pure index
     /// permutation (see [`he_ntt::galois_permutation`]), so no lift and no
     /// forward NTT of ciphertext data happens here. Bit-identical to
-    /// [`apply_galois`], which is itself routed through this path.
+    /// [`try_rotate`], which is itself routed through this path.
     ///
-    /// [`apply_galois`]: Self::apply_galois
+    /// [`try_rotate`]: Self::try_rotate
     ///
     /// # Panics
     ///
@@ -576,7 +518,8 @@ impl Evaluator {
         Ciphertext::new(t0.add(&k0), k1, a.scale())
     }
 
-    /// Fallible [`rescale`](Self::rescale).
+    /// Rescale (paper Rescale): divides by the last chain prime and drops a
+    /// level; the tracked scale shrinks by exactly that prime.
     ///
     /// # Errors
     ///
@@ -599,43 +542,14 @@ impl Evaluator {
         ))
     }
 
-    /// Rescale (paper Rescale): divides by the last chain prime and drops a
-    /// level; the tracked scale shrinks by exactly that prime.
-    ///
-    /// # Panics
-    ///
-    /// Panics at level 0 (no prime left to drop).
-    pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Rescales until the scale is within a factor of 2 of the default
-    /// working scale (utility for deep circuits).
-    pub fn rescale_to_default(&self, a: &Ciphertext) -> Ciphertext {
-        let mut ct = a.clone();
-        while ct.level() >= 1 && ct.scale() > 2.0 * self.ctx.default_scale() {
-            ct = self.rescale(&ct);
-        }
-        ct
-    }
-
     /// Sums many ciphertexts (aligning levels/scales to the weakest
-    /// operand via [`adjust`]).
-    ///
-    /// [`adjust`]: Self::adjust
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cts` is empty.
-    pub fn add_many(&self, cts: &[Ciphertext]) -> Ciphertext {
-        self.try_add_many(cts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`add_many`](Self::add_many).
+    /// operand via [`try_adjust`](Self::try_adjust)).
     ///
     /// # Errors
     ///
-    /// [`EvalError::EmptyOperands`] if `cts` is empty.
+    /// [`EvalError::EmptyOperands`] if `cts` is empty; whatever
+    /// [`try_adjust`](Self::try_adjust) reports for an operand it cannot
+    /// align.
     pub fn try_add_many(&self, cts: &[Ciphertext]) -> Result<Ciphertext, EvalError> {
         if cts.is_empty() {
             return Err(EvalError::EmptyOperands);
@@ -646,9 +560,9 @@ impl Evaluator {
             .find(|c| c.level() == level)
             .expect("non-empty")
             .scale();
-        let mut acc = self.adjust(&cts[0], level, scale);
+        let mut acc = self.try_adjust(&cts[0], level, scale)?;
         for ct in &cts[1..] {
-            let term = self.adjust(ct, level, scale);
+            let term = self.try_adjust(ct, level, scale)?;
             self.try_add_assign(&mut acc, &term)?;
         }
         Ok(acc)
@@ -657,22 +571,11 @@ impl Evaluator {
     /// Slot-wise linear combination `Σ w_i · ct_i` with plaintext scalar
     /// weights — one PMult per operand, one rescale total.
     ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or are zero.
-    pub fn linear_combination(&self, cts: &[Ciphertext], weights: &[f64]) -> Ciphertext {
-        assert_eq!(cts.len(), weights.len(), "one weight per ciphertext");
-        assert!(!cts.is_empty(), "need at least one term");
-        self.try_linear_combination(cts, weights)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`linear_combination`](Self::linear_combination).
-    ///
     /// # Errors
     ///
     /// [`EvalError::EmptyOperands`] if the lists are empty or their
-    /// lengths differ.
+    /// lengths differ; whatever [`try_adjust`](Self::try_adjust) reports
+    /// for an operand it cannot align.
     pub fn try_linear_combination(
         &self,
         cts: &[Ciphertext],
@@ -690,7 +593,7 @@ impl Evaluator {
             .scale();
         let mut acc: Option<Ciphertext> = None;
         for (ct, &w) in cts.iter().zip(weights) {
-            let aligned = self.adjust(ct, level, ct_scale);
+            let aligned = self.try_adjust(ct, level, ct_scale)?;
             let pt = self.encode_at_level(&[Complex::new(w, 0.0)], scale, level);
             let term = self.mul_plain(&aligned, &pt);
             match &mut acc {
@@ -705,41 +608,6 @@ impl Evaluator {
     /// modulus truncation plus, when the scales disagree, one multiplication
     /// by the constant 1 encoded at the correcting scale followed by a
     /// rescale. Used to align circuit branches of different depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_level` exceeds the current level, or if a scale
-    /// correction is needed at level 0.
-    pub fn adjust(&self, ct: &Ciphertext, target_level: usize, target_scale: f64) -> Ciphertext {
-        assert!(target_level <= ct.level(), "cannot raise level");
-        let rel = (ct.scale() - target_scale).abs() / target_scale;
-        if rel <= 1e-9 || ct.level() == target_level {
-            // Either already matched, or no spare level to correct with:
-            // accept the (small, by construction) approximate-rescaling
-            // drift. Tolerating large drift here would silently corrupt
-            // values, so it stays asserted.
-            assert!(
-                rel <= 1e-4,
-                "scale drift {rel} too large to absorb without a spare level"
-            );
-            let mut out = self.drop_to_level(ct, target_level);
-            out.set_scale(target_scale);
-            return out;
-        }
-        // Drop to one level above the target, multiply by 1 at the
-        // correcting scale, rescale down onto the target level.
-        let staged = self.drop_to_level(ct, target_level + 1);
-        let dropped = *staged.c0().basis().primes().last().expect("non-empty") as f64;
-        let correction = target_scale * dropped / staged.scale();
-        assert!(correction > 1.0, "scale correction must be an up-scaling");
-        let one = self.encode_at_level(&[Complex::new(1.0, 0.0)], correction, staged.level());
-        let mut out = self.rescale(&self.mul_plain(&staged, &one));
-        out.set_scale(target_scale);
-        out
-    }
-
-    /// Fallible [`adjust`](Self::adjust) — the same level/scale alignment,
-    /// but degenerate inputs surface as typed errors instead of aborting.
     ///
     /// # Errors
     ///
@@ -764,7 +632,8 @@ impl Evaluator {
         if rel <= 1e-9 || ct.level() == target_level {
             if rel > 1e-4 {
                 // No spare level to correct with and the drift is beyond
-                // the tolerated approximate-rescaling slack.
+                // the tolerated approximate-rescaling slack: absorbing it
+                // would silently corrupt values.
                 return Err(EvalError::ScaleMismatch {
                     a: ct.scale(),
                     b: target_scale,
@@ -774,6 +643,8 @@ impl Evaluator {
             out.set_scale(target_scale);
             return Ok(out);
         }
+        // Drop to one level above the target, multiply by 1 at the
+        // correcting scale, rescale down onto the target level.
         let staged = self.try_drop_to_level(ct, target_level + 1)?;
         let dropped = *staged.c0().basis().primes().last().expect("non-empty") as f64;
         let correction = target_scale * dropped / staged.scale();
@@ -790,29 +661,20 @@ impl Evaluator {
     }
 
     /// Applies Galois element `g` to both components and keyswitches back
-    /// to `s` using `key` (which must match `g`).
+    /// to `s` with the key `keys` holds for `g`.
     ///
-    /// Internally routed through [`hoist`] + [`apply_galois_hoisted`] so
-    /// single and batched rotations share one code path (and are therefore
-    /// bit-identical): the digit lift happens on `c_1` *before* the
-    /// automorphism, which then acts on the evaluation-form digits as an
-    /// index permutation.
+    /// Routed through [`hoist`] + [`apply_galois_hoisted`] like every
+    /// rotation, so single and batched rotations share one code path (and
+    /// are therefore bit-identical): the digit lift happens on `c_1`
+    /// *before* the automorphism, which then acts on the evaluation-form
+    /// digits as an index permutation.
     ///
     /// [`hoist`]: Self::hoist
     /// [`apply_galois_hoisted`]: Self::apply_galois_hoisted
-    pub fn apply_galois(&self, a: &Ciphertext, g: u64, key: &KeySwitchKey) -> Ciphertext {
-        let h = self.hoist(a);
-        self.apply_galois_hoisted(a, &h, g, key)
-    }
-
-    /// Fallible [`apply_galois`] that looks the keyswitching key up in
-    /// `keys` by its raw Galois element.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::MissingGaloisKey`] if no key for `g` exists.
-    ///
-    /// [`apply_galois`]: Self::apply_galois
     pub fn try_apply_galois(
         &self,
         a: &Ciphertext,
@@ -822,7 +684,7 @@ impl Evaluator {
         let key = keys
             .galois_key(g)
             .ok_or(EvalError::MissingGaloisKey { g })?;
-        Ok(self.apply_galois(a, g, key))
+        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 
     /// Rotation (paper Rotation): left-rotates the slot vector by `steps`
@@ -867,17 +729,7 @@ impl Evaluator {
             .tel
             .rotate
             .span(((a.level() + 1) * self.ctx.n()) as u64);
-        Ok(self.apply_galois(a, g, key))
-    }
-
-    /// Panicking wrapper over [`try_rotate`](Self::try_rotate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rotation key for `steps` is missing.
-    pub fn rotate(&self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 
     /// Rotates one ciphertext by every step in `steps`, hoisting the digit
@@ -926,16 +778,6 @@ impl Evaluator {
             .collect())
     }
 
-    /// Panicking wrapper over [`try_rotate_many`](Self::try_rotate_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rotation key is missing.
-    pub fn rotate_many(&self, a: &Ciphertext, steps: &[i64], keys: &KeySet) -> Vec<Ciphertext> {
-        self.try_rotate_many(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Complex conjugation of every slot (`g = 2N − 1`).
     ///
     /// # Errors
@@ -950,17 +792,7 @@ impl Evaluator {
             .tel
             .conjugate
             .span(((a.level() + 1) * self.ctx.n()) as u64);
-        Ok(self.apply_galois(a, g, key))
-    }
-
-    /// Panicking wrapper over [`try_conjugate`](Self::try_conjugate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the conjugation key is missing.
-    pub fn conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Ok(self.apply_galois_hoisted(a, &self.hoist(a), g, key))
     }
 }
 
@@ -1031,12 +863,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_neg_are_slotwise() {
+    fn add_sub_neg_are_slotwise() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0, 2.0, -3.0, 0.5]);
         let b = encrypt(&ctx, &keys, &mut rng, &[0.25, -1.0, 7.0, 2.0]);
-        let sum = decrypt(&ctx, &keys, &eval.add(&a, &b), 4);
-        let diff = decrypt(&ctx, &keys, &eval.sub(&a, &b), 4);
+        let sum = decrypt(&ctx, &keys, &eval.try_add(&a, &b)?, 4);
+        let diff = decrypt(&ctx, &keys, &eval.try_sub(&a, &b)?, 4);
         let neg = decrypt(&ctx, &keys, &eval.neg(&a), 4);
         for (g, w) in sum.iter().zip([1.25, 1.0, 4.0, 2.5]) {
             assert!((g - w).abs() < 1e-4, "{g} vs {w}");
@@ -1047,10 +879,11 @@ mod tests {
         for (g, w) in neg.iter().zip([-1.0, -2.0, 3.0, -0.5]) {
             assert!((g - w).abs() < 1e-4);
         }
+        Ok(())
     }
 
     #[test]
-    fn plain_ops_match_semantics() {
+    fn plain_ops_match_semantics() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0, -2.0]);
         let pt = eval.encode_at_level(
@@ -1058,42 +891,55 @@ mod tests {
             ctx.default_scale(),
             a.level(),
         );
-        let got = decrypt(&ctx, &keys, &eval.add_plain(&a, &pt), 2);
+        let got = decrypt(&ctx, &keys, &eval.try_add_plain(&a, &pt)?, 2);
         assert!((got[0] - 1.5).abs() < 1e-4 && (got[1] - 2.0).abs() < 1e-4);
-        let prod = eval.rescale(&eval.mul_plain(&a, &pt));
+        let prod = eval.try_rescale(&eval.mul_plain(&a, &pt))?;
         let got = decrypt(&ctx, &keys, &prod, 2);
         assert!(
             (got[0] - 0.5).abs() < 1e-3 && (got[1] + 8.0).abs() < 1e-3,
             "{got:?}"
         );
+        Ok(())
     }
 
     #[test]
-    fn cmult_with_relin_multiplies_slotwise() {
+    fn cmult_with_relin_multiplies_slotwise() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.5, -2.0, 0.0, 3.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[2.0, 2.5, 5.0, -1.0]);
-        let prod = eval.rescale(&eval.mul(&a, &b, &keys));
+        let prod = eval.try_rescale(&eval.try_mul(&a, &b, &keys)?)?;
         let got = decrypt(&ctx, &keys, &prod, 4);
         for (g, w) in got.iter().zip([3.0, -5.0, 0.0, -3.0]) {
             assert!((g - w).abs() < 1e-2, "{g} vs {w}");
         }
+        Ok(())
     }
 
     #[test]
-    fn square_matches_mul_self() {
+    fn square_matches_mul_self() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.25, -0.5]);
-        let s1 = decrypt(&ctx, &keys, &eval.rescale(&eval.square(&a, &keys)), 2);
-        let s2 = decrypt(&ctx, &keys, &eval.rescale(&eval.mul(&a, &a, &keys)), 2);
+        let s1 = decrypt(
+            &ctx,
+            &keys,
+            &eval.try_rescale(&eval.try_square(&a, &keys)?)?,
+            2,
+        );
+        let s2 = decrypt(
+            &ctx,
+            &keys,
+            &eval.try_rescale(&eval.try_mul(&a, &a, &keys)?)?,
+            2,
+        );
         for (x, y) in s1.iter().zip(&s2) {
             assert!((x - y).abs() < 1e-2);
         }
         assert!((s1[0] - 1.5625).abs() < 1e-2);
+        Ok(())
     }
 
     #[test]
-    fn rotation_shifts_slots_left() {
+    fn rotation_shifts_slots_left() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let mut keys = keys;
         keys.add_rotation_key(1, &mut rng);
@@ -1101,7 +947,7 @@ mod tests {
         let slots = ctx.params().slots();
         let vals: Vec<f64> = (0..slots).map(|i| (i % 17) as f64 / 4.0).collect();
         let a = encrypt(&ctx, &keys, &mut rng, &vals);
-        let rot = eval.rotate(&a, 1, &keys);
+        let rot = eval.try_rotate(&a, 1, &keys)?;
         let got = decrypt(&ctx, &keys, &rot, slots);
         for i in 0..8 {
             let want = vals[(i + 1) % slots];
@@ -1111,10 +957,11 @@ mod tests {
                 got[i]
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn conjugation_flips_imaginary_parts() {
+    fn conjugation_flips_imaginary_parts() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let mut keys = keys;
         keys.add_conjugation_key(&mut rng);
@@ -1125,70 +972,82 @@ mod tests {
             ctx.default_scale(),
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
-        let conj = eval.conjugate(&ct, &keys);
+        let conj = eval.try_conjugate(&ct, &keys)?;
         let dec = keys.secret().decrypt(&conj);
         let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 2);
         assert!((got[0].im + 2.0).abs() < 1e-3);
         assert!((got[1].im - 1.5).abs() < 1e-3);
         assert!((got[0].re - 1.0).abs() < 1e-3);
+        Ok(())
     }
 
     #[test]
-    fn rescale_preserves_value_and_drops_level() {
+    fn rescale_preserves_value_and_drops_level() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[4.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[0.25]);
-        let prod = eval.mul(&a, &b, &keys);
+        let prod = eval.try_mul(&a, &b, &keys)?;
         let level_before = prod.level();
-        let rs = eval.rescale(&prod);
+        let rs = eval.try_rescale(&prod)?;
         assert_eq!(rs.level(), level_before - 1);
         let got = decrypt(&ctx, &keys, &rs, 1);
         assert!((got[0] - 1.0).abs() < 1e-2, "{}", got[0]);
+        Ok(())
     }
 
     #[test]
-    fn deep_circuit_three_multiplications() {
+    fn deep_circuit_three_multiplications() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         // ((2·1.5)·0.5) = 1.5 over 3 CMults on the toy 4-prime chain.
         let a = encrypt(&ctx, &keys, &mut rng, &[2.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[1.5]);
         let c = encrypt(&ctx, &keys, &mut rng, &[0.5]);
-        let ab = eval.rescale(&eval.mul(&a, &b, &keys));
-        let abc = eval.rescale(&eval.mul(&ab, &c, &keys));
+        let ab = eval.try_rescale(&eval.try_mul(&a, &b, &keys)?)?;
+        let abc = eval.try_rescale(&eval.try_mul(&ab, &c, &keys)?)?;
         let got = decrypt(&ctx, &keys, &abc, 1);
         assert!((got[0] - 1.5).abs() < 0.05, "{}", got[0]);
+        Ok(())
     }
 
     #[test]
-    fn add_many_sums_across_levels() {
+    fn add_many_sums_across_levels() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[2.0]);
         // Put c at a lower level via a rescaled multiplication by 1.
         let one = eval.encode_at_level(&[Complex::new(1.0, 0.0)], ctx.default_scale(), a.level());
-        let c = eval.rescale(&eval.mul_plain(&encrypt(&ctx, &keys, &mut rng, &[3.0]), &one));
-        let sum = eval.add_many(&[a, b, c]);
+        let c = eval.try_rescale(&eval.mul_plain(&encrypt(&ctx, &keys, &mut rng, &[3.0]), &one))?;
+        let sum = eval.try_add_many(&[a, b, c])?;
         let got = decrypt(&ctx, &keys, &sum, 1);
         assert!((got[0] - 6.0).abs() < 0.02, "{}", got[0]);
+        assert_eq!(eval.try_add_many(&[]), Err(EvalError::EmptyOperands));
+        Ok(())
     }
 
     #[test]
-    fn linear_combination_weights_slots() {
+    fn linear_combination_weights_slots() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[2.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[-1.0]);
-        let lc = eval.linear_combination(&[a, b], &[0.5, 3.0]);
+        let lc = eval.try_linear_combination(&[a.clone(), b], &[0.5, 3.0])?;
         let got = decrypt(&ctx, &keys, &lc, 1);
         assert!((got[0] - (-2.0)).abs() < 0.02, "{}", got[0]);
+        assert_eq!(
+            eval.try_linear_combination(&[a], &[0.5, 3.0]),
+            Err(EvalError::EmptyOperands)
+        );
+        Ok(())
     }
 
     #[test]
     fn try_rotate_reports_missing_key() {
         let (ctx, keys, eval, mut rng) = setup(); // no rotation keys generated
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
-        match eval.try_rotate(&a, 5, &keys) {
-            Err(EvalError::MissingRotationKey { steps }) => assert_eq!(steps, 5),
-            other => panic!("expected MissingRotationKey, got {other:?}"),
+        for want in [3, 5] {
+            match eval.try_rotate(&a, want, &keys) {
+                Err(EvalError::MissingRotationKey { steps }) => assert_eq!(steps, want),
+                other => panic!("expected MissingRotationKey, got {other:?}"),
+            }
         }
         assert!(matches!(
             eval.try_conjugate(&a, &keys),
@@ -1214,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_rotation_is_bit_identical_to_rotate() {
+    fn hoisted_rotation_is_bit_identical_to_rotate() -> Result<(), EvalError> {
         let (ctx, mut keys, eval, mut rng) = setup();
         keys.add_rotation_key(1, &mut rng);
         keys.add_rotation_key(2, &mut rng);
@@ -1228,13 +1087,14 @@ mod tests {
             let g = keys.galois_element(steps);
             let key = keys.galois_key(g).expect("key present");
             let hoisted = eval.apply_galois_hoisted(&a, &h, g, key);
-            let plain = eval.rotate(&a, steps, &keys);
+            let plain = eval.try_rotate(&a, steps, &keys)?;
             assert_eq!(hoisted, plain, "steps {steps}");
         }
         assert_eq!(h.uses(), 2);
-        let batch = eval.rotate_many(&a, &[1, 2], &keys);
-        assert_eq!(batch[0], eval.rotate(&a, 1, &keys));
-        assert_eq!(batch[1], eval.rotate(&a, 2, &keys));
+        let batch = eval.try_rotate_many(&a, &[1, 2], &keys)?;
+        assert_eq!(batch[0], eval.try_rotate(&a, 1, &keys)?);
+        assert_eq!(batch[1], eval.try_rotate(&a, 2, &keys)?);
+        Ok(())
     }
 
     #[test]
@@ -1253,30 +1113,30 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_matches_add() {
+    fn add_assign_matches_add() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0, -2.0]);
         let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 4.0]);
         let mut acc = a.clone();
-        eval.add_assign(&mut acc, &b);
-        assert_eq!(acc, eval.add(&a, &b));
+        eval.try_add_assign(&mut acc, &b)?;
+        assert_eq!(acc, eval.try_add(&a, &b)?);
+        Ok(())
     }
 
     #[test]
-    #[should_panic(expected = "missing rotation key for 3 steps")]
-    fn rotate_wrapper_keeps_legacy_panic_message() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
-        let _ = eval.rotate(&a, 3, &keys);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale mismatch")]
     fn add_rejects_scale_mismatch() {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, &[1.0]);
         let mut b = encrypt(&ctx, &keys, &mut rng, &[1.0]);
         b.set_scale(b.scale() * 3.0);
-        let _ = eval.add(&a, &b);
+        let want = Err(EvalError::ScaleMismatch {
+            a: a.scale(),
+            b: b.scale(),
+        });
+        assert_eq!(eval.try_add(&a, &b), want);
+        assert_eq!(eval.try_sub(&a, &b), want);
+        let mut acc = a.clone();
+        assert_eq!(eval.try_add_assign(&mut acc, &b), want.map(|_| ()));
+        assert_eq!(acc, a, "acc is untouched on error");
     }
 }

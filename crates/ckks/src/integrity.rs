@@ -366,22 +366,23 @@ mod tests {
     }
 
     #[test]
-    fn checked_ops_match_unchecked_when_clean() {
+    fn checked_ops_match_unchecked_when_clean() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
         let plain = Evaluator::new(&ctx);
-        assert_eq!(eval.add(&a, &b).unwrap(), plain.add(&a, &b));
-        assert_eq!(eval.sub(&a, &b).unwrap(), plain.sub(&a, &b));
-        assert_eq!(eval.mul(&a, &b, &keys).unwrap(), plain.mul(&a, &b, &keys));
+        assert_eq!(eval.add(&a, &b)?, plain.try_add(&a, &b)?);
+        assert_eq!(eval.sub(&a, &b)?, plain.try_sub(&a, &b)?);
+        assert_eq!(eval.mul(&a, &b, &keys)?, plain.try_mul(&a, &b, &keys)?);
         assert_eq!(
-            eval.rescale(&eval.mul(&a, &b, &keys).unwrap()).unwrap(),
-            plain.rescale(&plain.mul(&a, &b, &keys))
+            eval.rescale(&eval.mul(&a, &b, &keys)?)?,
+            plain.try_rescale(&plain.try_mul(&a, &b, &keys)?)?
         );
+        Ok(())
     }
 
     #[test]
-    fn deterministic_operand_errors_pass_through() {
+    fn deterministic_operand_errors_pass_through() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);
         let before = integrity_stats();
@@ -391,7 +392,7 @@ mod tests {
             eval.rotate(&a, 7, &keys),
             Err(EvalError::MissingRotationKey { steps: 7 })
         ));
-        let low = eval.inner().drop_to_level(&a, 0);
+        let low = eval.inner().try_drop_to_level(&a, 0)?;
         assert!(matches!(
             eval.rescale(&low),
             Err(EvalError::RescaleAtLevelZero)
@@ -399,6 +400,7 @@ mod tests {
         let after = integrity_stats();
         assert_eq!(after.detected, before.detected);
         assert_eq!(after.escalated, before.escalated);
+        Ok(())
     }
 
     #[test]

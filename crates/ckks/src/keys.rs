@@ -1,10 +1,12 @@
 //! Key generation: secret, public, relinearisation, and Galois keys.
 //!
-//! Keyswitching keys use the classic single-digit (dnum = 1) RNS layout the
-//! paper describes around Eq. 1–3: a key for source secret `s'` under target
-//! secret `s` is `(b, a) ∈ R²_{PQ}` with `b = −a·s + e + P·s'`, where `P` is
-//! the product of the special primes. Using it is exactly Modup → pointwise
-//! multiply → Moddown.
+//! Keyswitching keys use the hybrid RNS digit decomposition with one chain
+//! prime per digit (α = 1, so a level-`l` keyswitch lifts `l + 1` digits),
+//! over the special-prime basis `P` the paper describes around Eq. 1–3: a
+//! key for source secret `s'` under target secret `s` holds one pair
+//! `(b_j, a_j) ∈ R²_{PQ}` per chain prime `q_j` (see [`KeySwitchKey`]).
+//! Using it is Modup (an exact lift of each digit) → pointwise multiply →
+//! accumulate → Moddown.
 
 use std::collections::HashMap;
 

@@ -36,10 +36,11 @@
 //!     ctx.default_scale(),
 //! );
 //! let ct = keys.public().encrypt(&pt, &mut rng);
-//! let ct2 = eval.add(&ct, &ct);
+//! let ct2 = eval.try_add(&ct, &ct)?;
 //! let dec = keys.secret().decrypt(&ct2);
 //! let out = ctx.encoder().decode_rns(dec.poly(), dec.scale(), z.len());
 //! assert!((out[0].re - 3.0).abs() < 1e-3);
+//! # Ok::<(), EvalError>(())
 //! ```
 
 pub mod apps;

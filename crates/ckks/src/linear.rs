@@ -18,16 +18,6 @@ use crate::keys::KeySet;
 /// `width` must be a power of two; the rotation keys for 1, 2, …, width/2
 /// must exist. Consumes no levels (additions only).
 ///
-/// # Panics
-///
-/// Panics if `width` is not a power of two or a rotation key is missing.
-pub fn fold_sum(eval: &Evaluator, keys: &KeySet, ct: &Ciphertext, width: usize) -> Ciphertext {
-    assert!(width.is_power_of_two(), "fold width must be a power of two");
-    try_fold_sum(eval, keys, ct, width).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`fold_sum`].
-///
 /// # Errors
 ///
 /// [`EvalError::EmptyOperands`] if `width` is not a power of two;
@@ -42,7 +32,7 @@ pub fn try_fold_sum(
         return Err(EvalError::EmptyOperands);
     }
     // Each iteration rotates the freshly updated accumulator, so there is
-    // no shared ciphertext to hoist across — `rotate` (internally hoisted
+    // no shared ciphertext to hoist across — `try_rotate` (internally hoisted
     // for its single application) is already optimal here.
     let mut acc = ct.clone();
     let mut step = width / 2;
@@ -55,22 +45,8 @@ pub fn try_fold_sum(
 }
 
 /// Homomorphic inner product `⟨x, w⟩` with a plaintext weight vector of
-/// power-of-two length: elementwise PMult, rescale, then [`fold_sum`].
+/// power-of-two length: elementwise PMult, rescale, then [`try_fold_sum`].
 /// Every slot of the result holds the inner product. Consumes one level.
-///
-/// # Panics
-///
-/// Panics if `weights` length is not a power of two or keys are missing.
-pub fn inner_product_plain(
-    eval: &Evaluator,
-    keys: &KeySet,
-    ct: &Ciphertext,
-    weights: &[Complex],
-) -> Ciphertext {
-    try_inner_product_plain(eval, keys, ct, weights).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`inner_product_plain`].
 ///
 /// # Errors
 ///
@@ -142,10 +118,10 @@ impl PlainMatrix {
         self.diagonals[d].iter().all(|c| c.abs() < 1e-300)
     }
 
-    /// The rotation steps [`apply`]/[`apply_bsgs`] need keys for.
+    /// The rotation steps [`try_apply`]/[`try_apply_bsgs`] need keys for.
     ///
-    /// [`apply`]: Self::apply
-    /// [`apply_bsgs`]: Self::apply_bsgs
+    /// [`try_apply`]: Self::try_apply
+    /// [`try_apply_bsgs`]: Self::try_apply_bsgs
     pub fn required_rotations(&self) -> Vec<i64> {
         let mut steps: Vec<i64> = (1..self.dim as i64).collect();
         // BSGS also uses the giant steps; they are multiples of the baby
@@ -156,20 +132,6 @@ impl PlainMatrix {
 
     /// Applies `M·v` with the plain diagonal method: one rotation + PMult
     /// per non-zero diagonal, one rescale at the end. Consumes one level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rotation keys are missing or every diagonal is zero.
-    pub fn apply(&self, eval: &Evaluator, keys: &KeySet, v: &Ciphertext) -> Ciphertext {
-        match self.try_apply(eval, keys, v) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`apply`](Self::apply) — an all-(near-)zero matrix or a
-    /// missing rotation key is reported instead of aborting.
     ///
     /// # Errors
     ///
@@ -216,19 +178,6 @@ impl PlainMatrix {
     /// rotation count drops from `dim − 1` to `≈ 2√dim`. Consumes one
     /// level. Requires rotation keys for the baby steps `1..bs` and the
     /// giant steps `bs, 2bs, …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rotation keys are missing.
-    pub fn apply_bsgs(&self, eval: &Evaluator, keys: &KeySet, v: &Ciphertext) -> Ciphertext {
-        match self.try_apply_bsgs(eval, keys, v) {
-            Ok(ct) => ct,
-            Err(EvalError::EmptyOperands) => panic!("matrix must have a non-zero diagonal"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`apply_bsgs`](Self::apply_bsgs).
     ///
     /// # Errors
     ///
@@ -358,38 +307,40 @@ mod tests {
     }
 
     #[test]
-    fn fold_sum_totals_all_slots() {
+    fn fold_sum_totals_all_slots() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let vals = [1.0, 2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 0.25];
         let ct = encrypt(&ctx, &keys, &mut rng, &vals);
-        let folded = fold_sum(&eval, &keys, &ct, DIM);
+        let folded = try_fold_sum(&eval, &keys, &ct, DIM)?;
         let got = decrypt(&ctx, &keys, &folded);
         let want: f64 = vals.iter().sum();
         for (i, g) in got.iter().enumerate() {
             assert!((g - want).abs() < 1e-2, "slot {i}: {g} vs {want}");
         }
+        Ok(())
     }
 
     #[test]
-    fn inner_product_matches_plaintext() {
+    fn inner_product_matches_plaintext() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let x = [0.5, -1.0, 2.0, 0.25, 1.5, -0.75, 0.0, 1.0];
         let w: Vec<f64> = vec![0.1, 0.2, -0.3, 0.4, -0.5, 0.6, 0.7, -0.8];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
         let wz: Vec<Complex> = w.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        let ip = inner_product_plain(&eval, &keys, &ct, &wz);
+        let ip = try_inner_product_plain(&eval, &keys, &ct, &wz)?;
         let got = decrypt(&ctx, &keys, &ip)[0];
         let want: f64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
         assert!((got - want).abs() < 1e-2, "{got} vs {want}");
+        Ok(())
     }
 
     #[test]
-    fn diagonal_matvec_matches_plaintext() {
+    fn diagonal_matvec_matches_plaintext() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let (m, raw) = test_matrix();
         let x = [1.0, -0.5, 0.25, 2.0, 0.0, 1.5, -1.0, 0.75];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt(&ctx, &keys, &m.apply(&eval, &keys, &ct));
+        let got = decrypt(&ctx, &keys, &m.try_apply(&eval, &keys, &ct)?);
         for i in 0..DIM {
             let want: f64 = (0..DIM).map(|j| raw[i][j] * x[j]).sum();
             assert!(
@@ -398,23 +349,25 @@ mod tests {
                 got[i]
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn bsgs_matches_plain_diagonal_method() {
+    fn bsgs_matches_plain_diagonal_method() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let (m, _) = test_matrix();
         let x = [0.3, 0.6, -0.9, 1.2, -1.5, 0.1, 0.4, -0.2];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let plain = decrypt(&ctx, &keys, &m.apply(&eval, &keys, &ct));
-        let bsgs = decrypt(&ctx, &keys, &m.apply_bsgs(&eval, &keys, &ct));
+        let plain = decrypt(&ctx, &keys, &m.try_apply(&eval, &keys, &ct)?);
+        let bsgs = decrypt(&ctx, &keys, &m.try_apply_bsgs(&eval, &keys, &ct)?);
         for i in 0..DIM {
             assert!((plain[i] - bsgs[i]).abs() < 2e-2, "row {i}");
         }
+        Ok(())
     }
 
     #[test]
-    fn sparse_matrix_skips_zero_diagonals() {
+    fn sparse_matrix_skips_zero_diagonals() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         // Identity matrix: only diagonal 0 is non-zero.
         let ident = PlainMatrix::new(
@@ -429,10 +382,11 @@ mod tests {
         assert!(ident.diagonal_is_zero(1));
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let got = decrypt(&ctx, &keys, &ident.apply(&eval, &keys, &ct));
+        let got = decrypt(&ctx, &keys, &ident.try_apply(&eval, &keys, &ct)?);
         for i in 0..DIM {
             assert!((got[i] - x[i]).abs() < 1e-2);
         }
+        Ok(())
     }
 
     #[test]
@@ -445,25 +399,16 @@ mod tests {
     fn zero_matrix_reports_empty_operands_instead_of_panicking() {
         let (ctx, keys, eval, mut rng) = setup();
         let zero = PlainMatrix::new(vec![vec![Complex::default(); DIM]; DIM]);
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        assert!(matches!(
-            zero.try_apply(&eval, &keys, &ct),
-            Err(crate::error::EvalError::EmptyOperands)
-        ));
-        assert!(matches!(
-            zero.try_apply_bsgs(&eval, &keys, &ct),
-            Err(crate::error::EvalError::EmptyOperands)
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "matrix must have a non-zero diagonal")]
-    fn zero_matrix_panicking_wrapper_keeps_legacy_message() {
-        let (ctx, keys, eval, mut rng) = setup();
-        let zero = PlainMatrix::new(vec![vec![Complex::default(); DIM]; DIM]);
-        let x = [1.0; DIM];
-        let ct = encrypt(&ctx, &keys, &mut rng, &x);
-        let _ = zero.apply(&eval, &keys, &ct);
+        for x in [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [1.0; DIM]] {
+            let ct = encrypt(&ctx, &keys, &mut rng, &x);
+            assert_eq!(
+                zero.try_apply(&eval, &keys, &ct),
+                Err(EvalError::EmptyOperands)
+            );
+            assert_eq!(
+                zero.try_apply_bsgs(&eval, &keys, &ct),
+                Err(EvalError::EmptyOperands)
+            );
+        }
     }
 }

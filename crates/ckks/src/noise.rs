@@ -140,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn multiplication_reduces_precision_and_budget() {
+    fn multiplication_reduces_precision_and_budget() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let z = vec![Complex::new(2.0, 0.0); 4];
         let pt = Plaintext::new(
@@ -150,12 +150,13 @@ mod tests {
         );
         let ct = keys.public().encrypt(&pt, &mut rng);
         let fresh = measure(&ctx, keys.secret(), &ct, &z);
-        let sq = eval.rescale(&eval.square(&ct, &keys));
+        let sq = eval.try_rescale(&eval.try_square(&ct, &keys)?)?;
         let z_sq = vec![Complex::new(4.0, 0.0); 4];
         let after = measure(&ctx, keys.secret(), &sq, &z_sq);
         assert!(after.budget_bits < fresh.budget_bits);
         assert!(after.precision_bits <= fresh.precision_bits + 1.0);
         assert_eq!(remaining_depth(&sq), remaining_depth(&ct) - 1);
+        Ok(())
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Powers are built with a balanced product tree (`x^j = x^⌈j/2⌉ ·
 //! x^⌊j/2⌋`), so a degree-d polynomial consumes ⌈log2 d⌉ + 1 levels instead
 //! of Horner's d. Branches of different depth are re-aligned with
-//! [`Evaluator::adjust`].
+//! [`Evaluator::try_adjust`].
 
 use std::collections::HashMap;
 
@@ -26,7 +26,8 @@ use crate::keys::KeySet;
 /// # let eval = Evaluator::new(&ctx);
 /// # let ct: Ciphertext = unimplemented!();
 /// let mut powers = PowerBasis::new(ct);
-/// let x3 = powers.power(&eval, &keys, 3); // x·x² with one relinearisation
+/// let x3 = powers.try_power(&eval, &keys, 3)?; // x·x² with one relinearisation
+/// # Ok::<(), EvalError>(())
 /// ```
 #[derive(Debug)]
 pub struct PowerBasis {
@@ -43,21 +44,10 @@ impl PowerBasis {
 
     /// Returns `x^j`, computing and caching intermediate powers.
     ///
-    /// # Panics
-    ///
-    /// Panics if `j == 0` (constants are not ciphertext powers) or if the
-    /// modulus chain runs out of levels.
-    pub fn power(&mut self, eval: &Evaluator, keys: &KeySet, j: u32) -> Ciphertext {
-        assert!(j >= 1, "power must be at least 1");
-        self.try_power(eval, keys, j)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`power`](Self::power).
-    ///
     /// # Errors
     ///
-    /// [`EvalError::EmptyOperands`] if `j == 0`;
+    /// [`EvalError::EmptyOperands`] if `j == 0` (constants are not
+    /// ciphertext powers);
     /// [`EvalError::RescaleAtLevelZero`] when the modulus chain runs out
     /// of levels mid-tree.
     pub fn try_power(
@@ -89,21 +79,6 @@ impl PowerBasis {
 /// Evaluates `Σ_j coeffs[j] · x^j` (monomial basis, real coefficients) on a
 /// ciphertext. Zero coefficients cost nothing; the result sits at the level
 /// of the deepest power used, one more for the coefficient products.
-///
-/// # Panics
-///
-/// Panics if `coeffs` is empty or the chain runs out of levels.
-pub fn evaluate_monomial(
-    eval: &Evaluator,
-    keys: &KeySet,
-    x: &Ciphertext,
-    coeffs: &[f64],
-) -> Ciphertext {
-    assert!(!coeffs.is_empty(), "need at least one coefficient");
-    try_evaluate_monomial(eval, keys, x, coeffs).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`evaluate_monomial`].
 ///
 /// # Errors
 ///
@@ -196,31 +171,37 @@ mod tests {
     }
 
     #[test]
-    fn powers_match_plain_arithmetic() {
+    fn powers_match_plain_arithmetic() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let x = 1.1f64;
         let ct = encrypt(&ctx, &keys, &mut rng, &[x]);
         let mut powers = PowerBasis::new(ct);
         for j in [2u32, 3, 4, 5] {
-            let got = decrypt(&ctx, &keys, &powers.power(&eval, &keys, j));
+            let got = decrypt(&ctx, &keys, &powers.try_power(&eval, &keys, j)?);
             let want = x.powi(j as i32);
             assert!((got - want).abs() < 0.02, "x^{j}: {got} vs {want}");
         }
+        assert_eq!(
+            powers.try_power(&eval, &keys, 0),
+            Err(EvalError::EmptyOperands)
+        );
+        Ok(())
     }
 
     #[test]
-    fn power_tree_depth_is_logarithmic() {
+    fn power_tree_depth_is_logarithmic() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let ct = encrypt(&ctx, &keys, &mut rng, &[0.9]);
         let top = ct.level();
         let mut powers = PowerBasis::new(ct);
-        let x7 = powers.power(&eval, &keys, 7);
+        let x7 = powers.try_power(&eval, &keys, 7)?;
         // Depth 3 (x², x³=x·x², x⁷=x³·x⁴) not 6.
         assert!(top - x7.level() <= 3, "depth {} too deep", top - x7.level());
+        Ok(())
     }
 
     #[test]
-    fn cubic_polynomial_evaluates() {
+    fn cubic_polynomial_evaluates() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let x = 0.7f64;
         let ct = encrypt(&ctx, &keys, &mut rng, &[x]);
@@ -228,14 +209,19 @@ mod tests {
         let got = decrypt(
             &ctx,
             &keys,
-            &evaluate_monomial(&eval, &keys, &ct, &[2.0, -1.0, 0.0, 0.5]),
+            &try_evaluate_monomial(&eval, &keys, &ct, &[2.0, -1.0, 0.0, 0.5])?,
         );
         let want = 2.0 - x + 0.5 * x * x * x;
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
+        assert_eq!(
+            try_evaluate_monomial(&eval, &keys, &ct, &[]),
+            Err(EvalError::EmptyOperands)
+        );
+        Ok(())
     }
 
     #[test]
-    fn degree7_sine_taylor_is_accurate() {
+    fn degree7_sine_taylor_is_accurate() -> Result<(), EvalError> {
         let (ctx, keys, eval, mut rng) = setup();
         let x = 0.6f64;
         let ct = encrypt(&ctx, &keys, &mut rng, &[x]);
@@ -249,8 +235,13 @@ mod tests {
             0.0,
             -1.0 / 5040.0,
         ];
-        let got = decrypt(&ctx, &keys, &evaluate_monomial(&eval, &keys, &ct, &coeffs));
+        let got = decrypt(
+            &ctx,
+            &keys,
+            &try_evaluate_monomial(&eval, &keys, &ct, &coeffs)?,
+        );
         assert!((got - x.sin()).abs() < 0.01, "{got} vs {}", x.sin());
+        Ok(())
     }
 }
 
@@ -262,16 +253,19 @@ mod tests {
 /// caching, costing one level per recurrence step beyond `T_1` plus one
 /// for the coefficient products.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `coeffs` is empty or the chain runs out of levels.
-pub fn evaluate_chebyshev(
+/// [`EvalError::EmptyOperands`] if `coeffs` is empty;
+/// [`EvalError::RescaleAtLevelZero`] when the chain runs out of levels.
+pub fn try_evaluate_chebyshev(
     eval: &Evaluator,
     keys: &KeySet,
     x: &Ciphertext,
     coeffs: &[f64],
-) -> Ciphertext {
-    assert!(!coeffs.is_empty(), "need at least one coefficient");
+) -> Result<Ciphertext, EvalError> {
+    if coeffs.is_empty() {
+        return Err(EvalError::EmptyOperands);
+    }
     let scale = eval.context().default_scale();
     // Materialise T_1..T_d with the recurrence.
     let mut t_polys: Vec<Ciphertext> = Vec::with_capacity(coeffs.len());
@@ -282,23 +276,23 @@ pub fn evaluate_chebyshev(
         let prev = &t_polys[j - 2]; // T_{j-1}
                                     // 2x·T_{j−1}
         let level = prev.level().min(x.level());
-        let x_al = eval.adjust(x, level, prev.scale().max(x.scale()).min(prev.scale()));
-        let x_al = eval.adjust(&x_al, level, prev.scale());
+        let x_al = eval.try_adjust(x, level, prev.scale().max(x.scale()).min(prev.scale()))?;
+        let x_al = eval.try_adjust(&x_al, level, prev.scale())?;
         let two_x_t = {
-            let prod =
-                eval.rescale(&eval.mul(&x_al, &eval.adjust(prev, level, prev.scale()), keys));
-            eval.add(&prod, &prod)
+            let prev_al = eval.try_adjust(prev, level, prev.scale())?;
+            let prod = eval.try_rescale(&eval.try_mul(&x_al, &prev_al, keys)?)?;
+            eval.try_add(&prod, &prod)?
         };
         let t_next = if j == 2 {
             // T_2 = 2x² − 1
             let one =
                 eval.encode_at_level(&[Complex::new(1.0, 0.0)], two_x_t.scale(), two_x_t.level());
-            eval.sub_plain(&two_x_t, &one)
+            eval.try_sub_plain(&two_x_t, &one)?
         } else {
             // T_j = 2x·T_{j−1} − T_{j−2}
             let t_m2 = &t_polys[j - 3];
-            let aligned = eval.adjust(t_m2, two_x_t.level(), two_x_t.scale());
-            eval.sub(&two_x_t, &aligned)
+            let aligned = eval.try_adjust(t_m2, two_x_t.level(), two_x_t.scale())?;
+            eval.try_sub(&two_x_t, &aligned)?
         };
         t_polys.push(t_next);
     }
@@ -311,12 +305,12 @@ pub fn evaluate_chebyshev(
         }
         let t_j = &t_polys[j - 1];
         let pt = eval.encode_at_level(&[Complex::new(c, 0.0)], scale, t_j.level());
-        scaled.push(eval.rescale(&eval.mul_plain(t_j, &pt)));
+        scaled.push(eval.try_rescale(&eval.mul_plain(t_j, &pt))?);
     }
     if scaled.is_empty() {
-        let zero = eval.sub(x, x);
+        let zero = eval.try_sub(x, x)?;
         let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], zero.scale(), zero.level());
-        return eval.add_plain(&zero, &pt);
+        return eval.try_add_plain(&zero, &pt);
     }
     let target_level = scaled.iter().map(|c| c.level()).min().expect("non-empty");
     let target_scale = scaled
@@ -324,15 +318,15 @@ pub fn evaluate_chebyshev(
         .find(|c| c.level() == target_level)
         .expect("non-empty")
         .scale();
-    let mut acc = eval.adjust(&scaled.remove(0), target_level, target_scale);
+    let mut acc = eval.try_adjust(&scaled.remove(0), target_level, target_scale)?;
     for t in &scaled {
-        acc = eval.add(&acc, &eval.adjust(t, target_level, target_scale));
+        acc = eval.try_add(&acc, &eval.try_adjust(t, target_level, target_scale)?)?;
     }
     if coeffs[0] != 0.0 {
         let pt = eval.encode_at_level(&[Complex::new(coeffs[0], 0.0)], acc.scale(), acc.level());
-        acc = eval.add_plain(&acc, &pt);
+        acc = eval.try_add_plain(&acc, &pt)?;
     }
-    acc
+    Ok(acc)
 }
 
 /// Computes the Chebyshev interpolation coefficients of `f` on `[-1, 1]`
@@ -390,7 +384,7 @@ mod chebyshev_tests {
     }
 
     #[test]
-    fn homomorphic_chebyshev_matches_plaintext() {
+    fn homomorphic_chebyshev_matches_plaintext() -> Result<(), EvalError> {
         let ctx = CkksContext::new(CkksParams::small());
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let keys = KeySet::generate(&ctx, &mut rng);
@@ -405,11 +399,12 @@ mod chebyshev_tests {
         let ct = keys.public().encrypt(&pt, &mut rng);
         // p(x) = 0.5·T_0 + 0.25·T_1 − 0.125·T_2 + 0.0625·T_3
         let coeffs = [0.5, 0.25, -0.125, 0.0625];
-        let got_ct = evaluate_chebyshev(&eval, &keys, &ct, &coeffs);
+        let got_ct = try_evaluate_chebyshev(&eval, &keys, &ct, &coeffs)?;
         let dec = keys.secret().decrypt(&got_ct);
         let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), 1)[0].re;
         let t = [1.0, x, 2.0 * x * x - 1.0, 4.0 * x * x * x - 3.0 * x];
         let want: f64 = coeffs.iter().zip(&t).map(|(c, t)| c * t).sum();
         assert!((got - want).abs() < 0.02, "{got} vs {want}");
+        Ok(())
     }
 }

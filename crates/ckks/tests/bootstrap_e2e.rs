@@ -27,7 +27,9 @@ fn run_bootstrap(slots: usize, doublings: u32, message: &[f64]) -> (Vec<f64>, Ve
     let exhausted = exhaust_to_level0(&eval, &ct);
     assert_eq!(exhausted.level(), 0);
 
-    let refreshed = bs.bootstrap(&eval, &keys, &exhausted);
+    let refreshed = bs
+        .try_bootstrap(&eval, &keys, &exhausted)
+        .expect("bootstrap succeeds");
     let dec = keys.secret().decrypt(&refreshed);
     let got = ctx.encoder().decode_rns(dec.poly(), dec.scale(), slots);
     (message.to_vec(), got, refreshed.level())

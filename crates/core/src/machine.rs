@@ -17,6 +17,7 @@ use he_ckks::keys::{KeySet, KeySwitchKey};
 use he_rns::{Form, RnsBasis, RnsPoly};
 
 use crate::operator::OperatorCounts;
+use crate::ops::HomomorphicOps;
 use crate::pool::OperatorPool;
 
 /// A functional Poseidon executor bound to a CKKS context.
@@ -24,7 +25,8 @@ use crate::pool::OperatorPool;
 /// # Examples
 ///
 /// See `tests/machine.rs` and the `operator_reuse` example — typical use
-/// is `machine.cmult(&a, &b, &keys)` followed by normal decryption.
+/// is [`HomomorphicOps::try_mul`] (`machine.try_mul(&a, &b, &keys)?`)
+/// followed by normal decryption.
 #[derive(Debug)]
 pub struct PoseidonMachine {
     ctx: CkksContext,
@@ -206,154 +208,7 @@ impl PoseidonMachine {
         RnsPoly::from_residues(a.basis(), residues, Form::Eval)
     }
 
-    // ---- basic operations ------------------------------------------------
-
-    /// HAdd: pure MA traffic on both components.
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels or scales are incompatible.
-    pub fn hadd(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_hadd(a, b).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("align levels before the machine"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`hadd`](Self::hadd): the MA cores run with the
-    /// retire-boundary sum check; a detection is recomputed once and a
-    /// persistent fault escalates instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] on unaligned operands,
-    /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
-    pub fn try_hadd(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        if a.level() != b.level() {
-            return Err(EvalError::LevelMismatch {
-                a: a.level(),
-                b: b.level(),
-            });
-        }
-        he_ckks::integrity::note_checked();
-        Ok(Ciphertext::new(
-            self.add_poly_checked(a.c0(), b.c0())?,
-            self.add_poly_checked(a.c1(), b.c1())?,
-            a.scale(),
-        ))
-    }
-
-    /// Drops a ciphertext to a lower level by modulus truncation — a pure
-    /// data movement, no operator-core traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds the current level.
-    pub fn drop_to_level(&mut self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_drop_to_level(ct, level)
-            .unwrap_or_else(|_| panic!("cannot raise level by truncation"))
-    }
-
-    /// Fallible [`drop_to_level`](Self::drop_to_level).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] if `level` exceeds the current level.
-    pub fn try_drop_to_level(
-        &mut self,
-        ct: &Ciphertext,
-        level: usize,
-    ) -> Result<Ciphertext, EvalError> {
-        if level > ct.level() {
-            return Err(EvalError::LevelMismatch {
-                a: ct.level(),
-                b: level,
-            });
-        }
-        if level == ct.level() {
-            return Ok(ct.clone());
-        }
-        Ok(Ciphertext::new(
-            ct.c0().truncate_basis(level + 1),
-            ct.c1().truncate_basis(level + 1),
-            ct.scale(),
-        ))
-    }
-
-    /// HSub: subtraction on both components (HAdd operator cost class).
-    ///
-    /// # Panics
-    ///
-    /// Panics if levels differ.
-    pub fn hsub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_hsub(a, b).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("align levels before the machine"),
-            other => panic!("{other}"),
-        })
-    }
-
-    /// Fallible [`hsub`](Self::hsub); see [`try_hadd`](Self::try_hadd)
-    /// for the error contract.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] on unaligned operands,
-    /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
-    pub fn try_hsub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        if a.level() != b.level() {
-            return Err(EvalError::LevelMismatch {
-                a: a.level(),
-                b: b.level(),
-            });
-        }
-        he_ckks::integrity::note_checked();
-        Ok(Ciphertext::new(
-            self.sub_poly_checked(a.c0(), b.c0())?,
-            self.sub_poly_checked(a.c1(), b.c1())?,
-            a.scale(),
-        ))
-    }
-
-    /// HAdd ct+pt: adds `m` to `c_0` only, through the MA core.
-    pub fn add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`add_plain`](Self::add_plain) through the checked MA
-    /// core.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::IntegrityFault`] on persistent retire-check failure.
-    pub fn try_add_plain(
-        &mut self,
-        a: &Ciphertext,
-        pt: &Plaintext,
-    ) -> Result<Ciphertext, EvalError> {
-        he_ckks::integrity::note_checked();
-        let m = pt.poly().truncate_basis(a.level() + 1);
-        Ok(Ciphertext::new(
-            self.add_poly_checked(a.c0(), &m)?,
-            a.c1().clone(),
-            a.scale(),
-        ))
-    }
-
-    /// PMult: NTT the operands, MM, INTT back (scale multiplies).
-    pub fn pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let m = self.ntt_poly(&pt.poly().truncate_basis(a.level() + 1));
-        let c0 = {
-            let e = self.ntt_poly(a.c0());
-            let p = self.mul_poly(&e, &m);
-            self.intt_poly(&p)
-        };
-        let c1 = {
-            let e = self.ntt_poly(a.c1());
-            let p = self.mul_poly(&e, &m);
-            self.intt_poly(&p)
-        };
-        Ciphertext::new(c0, c1, a.scale() * pt.scale())
-    }
+    // ---- keyswitch datapath ----------------------------------------------
 
     /// The keyswitch dataflow on machine cores: per digit, exact lift of
     /// `[d]_{q_j}` into the extended basis, NTT, key product, MA
@@ -441,22 +296,77 @@ impl PoseidonMachine {
             .collect();
         RnsPoly::from_residues(&q_basis, residues, Form::Coeff)
     }
+}
 
-    /// CMult with relinearisation, entirely on machine cores.
-    pub fn cmult(&mut self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_cmult(a, b, keys).unwrap_or_else(|e| match e {
-            EvalError::LevelMismatch { .. } => panic!("align levels before the machine"),
-            other => panic!("{other}"),
-        })
+/// The basic operations, each executed on the pooled operator cores.
+impl HomomorphicOps for PoseidonMachine {
+    /// HAdd: pure MA traffic on both components. The MA cores run with
+    /// the retire-boundary sum check; a detection is recomputed once and a
+    /// persistent fault escalates to [`EvalError::IntegrityFault`].
+    /// Operands must already sit at the same level.
+    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+        if a.level() != b.level() {
+            return Err(EvalError::LevelMismatch {
+                a: a.level(),
+                b: b.level(),
+            });
+        }
+        he_ckks::integrity::note_checked();
+        Ok(Ciphertext::new(
+            self.add_poly_checked(a.c0(), b.c0())?,
+            self.add_poly_checked(a.c1(), b.c1())?,
+            a.scale(),
+        ))
     }
 
-    /// Fallible [`cmult`](Self::cmult).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] on unaligned operands; reserved for
-    /// [`EvalError::IntegrityFault`] under checked execution.
-    pub fn try_cmult(
+    /// HSub: subtraction on both components (HAdd operator cost class),
+    /// checked like [`try_add`](Self::try_add).
+    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+        if a.level() != b.level() {
+            return Err(EvalError::LevelMismatch {
+                a: a.level(),
+                b: b.level(),
+            });
+        }
+        he_ckks::integrity::note_checked();
+        Ok(Ciphertext::new(
+            self.sub_poly_checked(a.c0(), b.c0())?,
+            self.sub_poly_checked(a.c1(), b.c1())?,
+            a.scale(),
+        ))
+    }
+
+    /// HAdd ct+pt: adds `m` to `c_0` only, through the checked MA core.
+    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+        he_ckks::integrity::note_checked();
+        let m = pt.poly().truncate_basis(a.level() + 1);
+        Ok(Ciphertext::new(
+            self.add_poly_checked(a.c0(), &m)?,
+            a.c1().clone(),
+            a.scale(),
+        ))
+    }
+
+    /// PMult: NTT the operands, MM, INTT back (scale multiplies). Always
+    /// succeeds.
+    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+        let m = self.ntt_poly(&pt.poly().truncate_basis(a.level() + 1));
+        let c0 = {
+            let e = self.ntt_poly(a.c0());
+            let p = self.mul_poly(&e, &m);
+            self.intt_poly(&p)
+        };
+        let c1 = {
+            let e = self.ntt_poly(a.c1());
+            let p = self.mul_poly(&e, &m);
+            self.intt_poly(&p)
+        };
+        Ok(Ciphertext::new(c0, c1, a.scale() * pt.scale()))
+    }
+
+    /// CMult with relinearisation, entirely on machine cores. Operands
+    /// must already sit at the same level.
+    fn try_mul(
         &mut self,
         a: &Ciphertext,
         b: &Ciphertext,
@@ -494,38 +404,68 @@ impl PoseidonMachine {
         ))
     }
 
-    /// Squaring, executed as [`cmult`](Self::cmult) of `a` with itself.
-    pub fn square(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.cmult(a, a, keys)
+    /// Squaring, executed as [`try_mul`](Self::try_mul) of `a` with
+    /// itself.
+    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+        self.try_mul(a, a, keys)
     }
 
-    /// Fallible [`square`](Self::square).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_cmult`](Self::try_cmult).
-    pub fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        self.try_cmult(a, a, keys)
+    /// Rescale through the MA/MM cascade: subtract the last component's
+    /// lifted residues and scale by `q_l⁻¹` per remaining prime.
+    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
+        if a.level() == 0 {
+            return Err(EvalError::RescaleAtLevelZero);
+        }
+        let rescale_poly = |m: &mut Self, p: &RnsPoly| {
+            let l = p.level_count();
+            let last_prime = p.basis().primes()[l - 1];
+            let lower = p.basis().prefix(l - 1);
+            let last = p.residues(l - 1).to_vec();
+            let residues: Vec<Vec<u64>> = (0..l - 1)
+                .map(|j| {
+                    let qj = lower.primes()[j];
+                    let last_mod: Vec<u64> = last.iter().map(|&v| v % qj).collect();
+                    let diff = m.pool.sub(p.residues(j), &last_mod, qj);
+                    let inv = he_math::modops::inv_mod_prime(last_prime % qj, qj)
+                        .expect("distinct primes");
+                    m.pool.mm_scalar(&diff, inv, qj)
+                })
+                .collect();
+            RnsPoly::from_residues(&lower, residues, Form::Coeff)
+        };
+        let dropped = *a.c0().basis().primes().last().expect("non-empty") as f64;
+        let c0 = rescale_poly(self, a.c0());
+        let c1 = rescale_poly(self, a.c1());
+        Ok(Ciphertext::new(c0, c1, a.scale() / dropped))
     }
 
-    /// Rotation: HFAuto on both components, then keyswitch back to `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rotation key is missing.
-    pub fn rotate(&mut self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Drops a ciphertext to a lower level by modulus truncation — a pure
+    /// data movement, no operator-core traffic.
+    fn try_drop_to_level(
+        &mut self,
+        ct: &Ciphertext,
+        level: usize,
+    ) -> Result<Ciphertext, EvalError> {
+        if level > ct.level() {
+            return Err(EvalError::LevelMismatch {
+                a: ct.level(),
+                b: level,
+            });
+        }
+        if level == ct.level() {
+            return Ok(ct.clone());
+        }
+        Ok(Ciphertext::new(
+            ct.c0().truncate_basis(level + 1),
+            ct.c1().truncate_basis(level + 1),
+            ct.scale(),
+        ))
     }
 
-    /// Fallible [`rotate`](Self::rotate): returns
-    /// [`EvalError::MissingRotationKey`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingRotationKey`] when no Galois key for `steps`
-    /// has been generated.
-    pub fn try_rotate(
+    /// Rotation: HFAuto on both components, then keyswitch back to `s` —
+    /// the unhoisted per-call dataflow whose operator mix matches Table I
+    /// exactly.
+    fn try_rotate(
         &mut self,
         a: &Ciphertext,
         steps: i64,
@@ -550,14 +490,8 @@ impl PoseidonMachine {
     /// The key slices come from the eval-form cache when present — the
     /// paper keeps keyswitch keys HBM-resident in evaluation
     /// representation (§IV-C), so no NTT-core traffic is charged for key
-    /// material. [`rotate`](Self::rotate) keeps the unhoisted per-call
-    /// dataflow whose operator mix matches Table I exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingRotationKey`] for the first step without a
-    /// Galois key; keys are resolved before any core traffic happens.
-    pub fn try_rotate_many(
+    /// material. Keys are resolved before any core traffic happens.
+    fn try_rotate_many(
         &mut self,
         a: &Ciphertext,
         steps: &[i64],
@@ -626,38 +560,9 @@ impl PoseidonMachine {
         Ok(out)
     }
 
-    /// Panicking wrapper over [`try_rotate_many`](Self::try_rotate_many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rotation key is missing.
-    pub fn rotate_many(&mut self, a: &Ciphertext, steps: &[i64], keys: &KeySet) -> Vec<Ciphertext> {
-        self.try_rotate_many(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Conjugation (rotation cost class): the conjugation automorphism on
     /// both components, then keyswitch back to `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the conjugation key is missing.
-    pub fn conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`conjugate`](Self::conjugate).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::MissingConjugationKey`] when the conjugation key has
-    /// not been generated.
-    pub fn try_conjugate(
-        &mut self,
-        a: &Ciphertext,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
+    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let g = keys.conjugation_element();
         let key = keys.galois_key(g).ok_or(EvalError::MissingConjugationKey)?;
         let t0 = self.auto_poly(a.c0(), g);
@@ -666,7 +571,7 @@ impl PoseidonMachine {
         Ok(Ciphertext::new(self.add_poly(&t0, &k0), k1, a.scale()))
     }
 
-    /// Fallible ciphertext refresh: runs the full bootstrapping pipeline
+    /// Ciphertext refresh: runs the full bootstrapping pipeline
     /// (ModRaise → SubSum → CoeffToSlot → EvalMod → SlotToCoeff) on a
     /// level-0 ciphertext. The pipeline itself is orchestrated by the
     /// software [`Bootstrapper`] over a scheme-level evaluator on this
@@ -674,13 +579,7 @@ impl PoseidonMachine {
     /// basic-op datapath for bootstrapping rather than dedicating one.
     ///
     /// [`Bootstrapper`]: he_ckks::bootstrap::Bootstrapper
-    ///
-    /// # Errors
-    ///
-    /// Whatever the pipeline reports: missing rotation/conjugation keys
-    /// for the bootstrap schedule, or `RescaleAtLevelZero` when the
-    /// modulus chain is too short for the pipeline's depth.
-    pub fn try_bootstrap(
+    fn try_bootstrap(
         &mut self,
         a: &Ciphertext,
         bs: &he_ckks::bootstrap::Bootstrapper,
@@ -688,54 +587,5 @@ impl PoseidonMachine {
     ) -> Result<Ciphertext, EvalError> {
         let eval = Evaluator::new(&self.ctx);
         bs.try_bootstrap(&eval, keys, a)
-    }
-
-    /// Rescale through the MA/MM cascade: subtract the last component's
-    /// lifted residues and scale by `q_l⁻¹` per remaining prime.
-    pub fn rescale(&mut self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`rescale`](Self::rescale).
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::RescaleAtLevelZero`] at level 0.
-    pub fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        if a.level() == 0 {
-            return Err(EvalError::RescaleAtLevelZero);
-        }
-        let rescale_poly = |m: &mut Self, p: &RnsPoly| {
-            let l = p.level_count();
-            let last_prime = p.basis().primes()[l - 1];
-            let lower = p.basis().prefix(l - 1);
-            let last = p.residues(l - 1).to_vec();
-            let residues: Vec<Vec<u64>> = (0..l - 1)
-                .map(|j| {
-                    let qj = lower.primes()[j];
-                    let last_mod: Vec<u64> = last.iter().map(|&v| v % qj).collect();
-                    let diff = m.pool.sub(p.residues(j), &last_mod, qj);
-                    let inv = he_math::modops::inv_mod_prime(last_prime % qj, qj)
-                        .expect("distinct primes");
-                    m.pool.mm_scalar(&diff, inv, qj)
-                })
-                .collect();
-            RnsPoly::from_residues(&lower, residues, Form::Coeff)
-        };
-        let dropped = *a.c0().basis().primes().last().expect("non-empty") as f64;
-        let c0 = rescale_poly(self, a.c0());
-        let c1 = rescale_poly(self, a.c1());
-        Ok(Ciphertext::new(c0, c1, a.scale() / dropped))
-    }
-
-    /// Fallible [`pmult`](Self::pmult). The plain path always succeeds;
-    /// the signature is shared with the other backends so checked
-    /// execution can slot in.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for [`EvalError::IntegrityFault`] under checked execution.
-    pub fn try_pmult(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        Ok(self.pmult(a, pt))
     }
 }

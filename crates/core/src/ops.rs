@@ -1,50 +1,70 @@
-//! `HomomorphicOps` — the shared homomorphic-operation surface.
+//! `HomomorphicOps` — the one homomorphic-operation surface.
 //!
 //! Three executors expose the same CKKS basic operations with different
 //! backends: the software [`Evaluator`], the trace-capturing
-//! [`RecordingEvaluator`], and the operator-pool [`PoseidonMachine`].
-//! Before this trait each duplicated its own ad-hoc method list; now a
+//! [`RecordingEvaluator`], and the operator-pool [`PoseidonMachine`]. A
 //! workload written against `HomomorphicOps` runs unchanged on any of
 //! them — the pattern the `tables metrics` report uses to drive one HELR
-//! pipeline through both the evaluator and the machine.
+//! pipeline through both the evaluator and the machine. Each backend
+//! defines each operation once, in its `impl HomomorphicOps` block, and
+//! every operation is fallible: callers propagate the [`EvalError`] with
+//! `?`.
+//!
+//! ```no_run
+//! use he_ckks::prelude::*;
+//! use poseidon_core::{HomomorphicOps, PoseidonMachine};
+//!
+//! # fn demo(ctx: &CkksContext, keys: &KeySet, ct: &Ciphertext) -> Result<(), EvalError> {
+//! let mut machine = PoseidonMachine::new(ctx, 8, 1);
+//! let sum = machine.try_add(ct, ct)?;
+//! let prod = machine.try_mul(&sum, ct, keys)?;
+//! let out = machine.try_rescale(&prod)?;
+//! # let _ = out;
+//! # Ok(())
+//! # }
+//! ```
 //!
 //! Methods take `&mut self` for the machine's sake (its pool mutates
 //! per-call state); the evaluator backends simply ignore the mutability.
+//!
+//! [`RecordingEvaluator`]: crate::recorder::RecordingEvaluator
+//! [`PoseidonMachine`]: crate::machine::PoseidonMachine
 
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
 
-use crate::machine::PoseidonMachine;
-use crate::recorder::RecordingEvaluator;
-
 /// The basic-operation surface shared by every executor (paper Table I's
-/// operation vocabulary, minus bootstrapping).
+/// operation vocabulary, plus bootstrapping).
 ///
-/// Every operation is specified by its fallible `try_` form — backends
-/// implement only those — and the familiar panicking methods are provided
-/// wrappers that format the [`EvalError`] (preserving the legacy panic
-/// messages). Checked backends surface persistent datapath corruption as
-/// [`EvalError::IntegrityFault`] through the same `try_` surface.
+/// Every operation returns `Result<_, EvalError>`; there is no panicking
+/// form. Operand mismatches and missing keys come back as typed errors,
+/// and checked backends surface persistent datapath corruption as
+/// [`EvalError::IntegrityFault`] through the same methods. Backends
+/// implement every operation except [`try_rotate_many`] and
+/// [`try_bootstrap`], whose provided defaults they may override.
+///
+/// [`try_rotate_many`]: Self::try_rotate_many
+/// [`try_bootstrap`]: Self::try_bootstrap
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use he_ckks::prelude::*;
-/// use poseidon_core::{HomomorphicOps, PoseidonMachine};
+/// use poseidon_core::HomomorphicOps;
 ///
 /// fn double_and_spin<B: HomomorphicOps>(
 ///     b: &mut B,
 ///     ct: &Ciphertext,
 ///     keys: &KeySet,
-/// ) -> Ciphertext {
-///     let s = b.add(ct, ct);
-///     b.rotate(&s, 1, keys)
+/// ) -> Result<Ciphertext, EvalError> {
+///     let s = b.try_add(ct, ct)?;
+///     b.try_rotate(&s, 1, keys)
 /// }
 /// ```
 pub trait HomomorphicOps {
-    /// Fallible HAdd, ct+ct.
+    /// HAdd, ct+ct.
     ///
     /// # Errors
     ///
@@ -53,28 +73,28 @@ pub trait HomomorphicOps {
     /// backends.
     fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible subtraction (HAdd cost class).
+    /// Subtraction (HAdd cost class).
     ///
     /// # Errors
     ///
     /// As [`try_add`](Self::try_add).
     fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible HAdd, ct+pt.
+    /// HAdd, ct+pt.
     ///
     /// # Errors
     ///
     /// As [`try_add`](Self::try_add).
     fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible PMult, ct·pt (scale multiplies; rescale afterwards).
+    /// PMult, ct·pt (scale multiplies; rescale afterwards).
     ///
     /// # Errors
     ///
     /// Reserved for [`EvalError::IntegrityFault`] from checked backends.
     fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible CMult with relinearisation.
+    /// CMult with relinearisation.
     ///
     /// # Errors
     ///
@@ -87,21 +107,21 @@ pub trait HomomorphicOps {
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible squaring (CMult cost class).
+    /// Squaring (CMult cost class).
     ///
     /// # Errors
     ///
     /// As [`try_mul`](Self::try_mul).
     fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible rescale.
+    /// Rescale: drops the chain's last prime and divides the scale.
     ///
     /// # Errors
     ///
     /// [`EvalError::RescaleAtLevelZero`] at level 0.
     fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible level drop by modulus truncation (no scale change).
+    /// Level drop by modulus truncation (no scale change).
     ///
     /// # Errors
     ///
@@ -109,80 +129,7 @@ pub trait HomomorphicOps {
     /// level.
     fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError>;
 
-    /// HAdd, ct+ct.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand mismatch or escalated integrity fault.
-    fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// HAdd cost class, subtraction.
-    ///
-    /// # Panics
-    ///
-    /// As [`add`](Self::add).
-    fn sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// HAdd, ct+pt.
-    ///
-    /// # Panics
-    ///
-    /// As [`add`](Self::add).
-    fn add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// PMult, ct·pt (scale multiplies; rescale afterwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics on escalated integrity fault.
-    fn mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// CMult with relinearisation.
-    ///
-    /// # Panics
-    ///
-    /// As [`add`](Self::add).
-    fn mul(&mut self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_mul(a, b, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Squaring (CMult cost class).
-    ///
-    /// # Panics
-    ///
-    /// As [`mul`](Self::mul).
-    fn square(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_square(a, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Rescale: drops the chain's last prime and divides the scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics at level 0.
-    fn rescale(&mut self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Level drop by modulus truncation (no scale change).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `level` exceeds the current level.
-    fn drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Ciphertext {
-        self.try_drop_to_level(a, level)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible slot rotation.
+    /// Slot rotation.
     ///
     /// # Errors
     ///
@@ -194,14 +141,14 @@ pub trait HomomorphicOps {
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible slot conjugation.
+    /// Slot conjugation.
     ///
     /// # Errors
     ///
     /// [`EvalError::MissingConjugationKey`] when the key is absent.
     fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError>;
 
-    /// Fallible batch rotation of one ciphertext by every step in `steps`.
+    /// Batch rotation of one ciphertext by every step in `steps`.
     ///
     /// The default implementation is a plain loop of [`try_rotate`];
     /// backends with a hoisted rotation engine (the evaluator, the
@@ -222,37 +169,7 @@ pub trait HomomorphicOps {
         steps.iter().map(|&s| self.try_rotate(a, s, keys)).collect()
     }
 
-    /// Slot rotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the rotation key is missing.
-    fn rotate(&mut self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Batch slot rotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any rotation key is missing.
-    fn rotate_many(&mut self, a: &Ciphertext, steps: &[i64], keys: &KeySet) -> Vec<Ciphertext> {
-        self.try_rotate_many(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Slot conjugation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the conjugation key is missing.
-    fn conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible ciphertext refresh through the full bootstrapping
+    /// Ciphertext refresh through the full bootstrapping
     /// pipeline (`a` must be at level 0 — see
     /// [`Bootstrapper::try_bootstrap`]). The default implementation
     /// reports [`EvalError::BootstrapUnavailable`]; backends with a
@@ -346,133 +263,11 @@ impl HomomorphicOps for Evaluator {
     }
 }
 
-impl HomomorphicOps for RecordingEvaluator {
-    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_add(self, a, b)
-    }
-
-    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_sub(self, a, b)
-    }
-
-    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_add_plain(self, a, pt)
-    }
-
-    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_mul_plain(self, a, pt)
-    }
-
-    fn try_mul(
-        &mut self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_mul(self, a, b, keys)
-    }
-
-    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_square(self, a, keys)
-    }
-
-    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_rescale(self, a)
-    }
-
-    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
-        // Free data movement — no hardware-trace entry, but the dataflow
-        // graph records the descent.
-        RecordingEvaluator::try_drop_to_level(self, a, level)
-    }
-
-    fn try_rotate(
-        &mut self,
-        a: &Ciphertext,
-        steps: i64,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_rotate(self, a, steps, keys)
-    }
-
-    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        RecordingEvaluator::try_conjugate(self, a, keys)
-    }
-}
-
-impl HomomorphicOps for PoseidonMachine {
-    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_hadd(self, a, b)
-    }
-
-    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_hsub(self, a, b)
-    }
-
-    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_add_plain(self, a, pt)
-    }
-
-    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_pmult(self, a, pt)
-    }
-
-    fn try_mul(
-        &mut self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_cmult(self, a, b, keys)
-    }
-
-    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_square(self, a, keys)
-    }
-
-    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_rescale(self, a)
-    }
-
-    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_drop_to_level(self, a, level)
-    }
-
-    fn try_rotate(
-        &mut self,
-        a: &Ciphertext,
-        steps: i64,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_rotate(self, a, steps, keys)
-    }
-
-    fn try_rotate_many(
-        &mut self,
-        a: &Ciphertext,
-        steps: &[i64],
-        keys: &KeySet,
-    ) -> Result<Vec<Ciphertext>, EvalError> {
-        PoseidonMachine::try_rotate_many(self, a, steps, keys)
-    }
-
-    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_conjugate(self, a, keys)
-    }
-
-    fn try_bootstrap(
-        &mut self,
-        a: &Ciphertext,
-        bs: &he_ckks::bootstrap::Bootstrapper,
-        keys: &KeySet,
-    ) -> Result<Ciphertext, EvalError> {
-        PoseidonMachine::try_bootstrap(self, a, bs, keys)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::PoseidonMachine;
+    use crate::recorder::RecordingEvaluator;
     use he_ckks::encoding::Complex;
     use he_ckks::prelude::*;
     use rand::SeedableRng;
@@ -511,15 +306,15 @@ mod tests {
         a: &Ciphertext,
         b: &Ciphertext,
         keys: &KeySet,
-    ) -> Ciphertext {
-        let s = backend.add(a, b);
-        let p = backend.mul(&s, a, keys);
-        let r = backend.rescale(&p);
-        backend.rotate(&r, 1, keys)
+    ) -> Result<Ciphertext, EvalError> {
+        let s = backend.try_add(a, b)?;
+        let p = backend.try_mul(&s, a, keys)?;
+        let r = backend.try_rescale(&p)?;
+        backend.try_rotate(&r, 1, keys)
     }
 
     #[test]
-    fn all_three_backends_agree_through_the_trait() {
+    fn all_three_backends_agree_through_the_trait() -> Result<(), EvalError> {
         let (ctx, keys, mut rng) = setup();
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
@@ -534,9 +329,9 @@ mod tests {
         // decode slot 0 after rotating back is unnecessary — the encoder
         // replicates a single value across all slots.
         for out in [
-            pipeline(&mut eval, &a, &b, &keys),
-            pipeline(&mut rec, &a, &b, &keys),
-            pipeline(&mut machine, &a, &b, &keys),
+            pipeline(&mut eval, &a, &b, &keys)?,
+            pipeline(&mut rec, &a, &b, &keys)?,
+            pipeline(&mut machine, &a, &b, &keys)?,
         ] {
             let got = decrypt_slot0(&ctx, &keys, &out);
             assert!(
@@ -549,10 +344,11 @@ mod tests {
             "machine counted no operator work"
         );
         assert_eq!(rec.trace().entries().len(), 4, "recorder missed ops");
+        Ok(())
     }
 
     #[test]
-    fn rotate_many_agrees_with_single_rotations_on_every_backend() {
+    fn rotate_many_agrees_with_single_rotations_on_every_backend() -> Result<(), EvalError> {
         let (ctx, mut keys, mut rng) = setup();
         keys.add_rotation_key(2, &mut rng);
         let a = encrypt(&ctx, &keys, &mut rng, 1.75);
@@ -561,26 +357,27 @@ mod tests {
         // Evaluator and recorder share the hoisted engine, whose outputs
         // are bit-identical to the per-call path.
         let mut eval = Evaluator::new(&ctx);
-        let batch = HomomorphicOps::rotate_many(&mut eval, &a, &steps, &keys);
+        let batch = HomomorphicOps::try_rotate_many(&mut eval, &a, &steps, &keys)?;
         for (&s, out) in steps.iter().zip(&batch) {
-            assert_eq!(out, &HomomorphicOps::rotate(&mut eval, &a, s, &keys));
+            assert_eq!(out, &HomomorphicOps::try_rotate(&mut eval, &a, s, &keys)?);
         }
 
         // The machine's hoisted dataflow uses a different (still
         // CRT-consistent) digit representative than its per-call rotate,
         // so agreement is at the decrypted-value level.
         let mut machine = PoseidonMachine::new(&ctx, 8, 1);
-        let batch = machine.rotate_many(&a, &steps, &keys);
+        let batch = machine.try_rotate_many(&a, &steps, &keys)?;
         for (&s, out) in steps.iter().zip(&batch) {
-            let single = machine.rotate(&a, s, &keys);
+            let single = machine.try_rotate(&a, s, &keys)?;
             let got = decrypt_slot0(&ctx, &keys, out);
             let want = decrypt_slot0(&ctx, &keys, &single);
             assert!((got - want).abs() < 1e-3, "step {s}: {got} vs {want}");
         }
+        Ok(())
     }
 
     #[test]
-    fn machine_hoisted_batch_saves_ntt_traffic() {
+    fn machine_hoisted_batch_saves_ntt_traffic() -> Result<(), EvalError> {
         let (ctx, mut keys, mut rng) = setup();
         for s in 2..=4i64 {
             keys.add_rotation_key(s, &mut rng);
@@ -590,16 +387,17 @@ mod tests {
 
         let mut unhoisted = PoseidonMachine::new(&ctx, 8, 1);
         for &s in &steps {
-            let _ = unhoisted.rotate(&a, s, &keys);
+            unhoisted.try_rotate(&a, s, &keys)?;
         }
         let mut hoisted = PoseidonMachine::new(&ctx, 8, 1);
-        let _ = hoisted.rotate_many(&a, &steps, &keys);
+        hoisted.try_rotate_many(&a, &steps, &keys)?;
 
         let (nh, nu) = (hoisted.usage().ntt, unhoisted.usage().ntt);
         assert!(
             nh * 2 <= nu,
             "hoisted NTT traffic {nh} not ≥2× below unhoisted {nu}"
         );
+        Ok(())
     }
 
     #[test]

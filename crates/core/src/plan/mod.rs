@@ -7,7 +7,7 @@
 //!
 //! 1. **Capture** — [`RecordingEvaluator`] records the SSA dataflow of a
 //!    real run ([`graph::EvalGraph`]), or [`compile_trace`] lowers a
-//!    `.pos` op trace into one.
+//!    `.pos` op trace (parsed by [`program::parse`]) into one.
 //! 2. **Optimize** — [`plan`] runs rescale sinking/fusion, cross-graph
 //!    rotation hoisting into `rotate_many`, dead-value elimination, and
 //!    live-range-aware scheduling ([`passes`]); [`try_plan`] additionally
@@ -36,6 +36,7 @@ pub mod cost;
 pub mod exec;
 pub mod graph;
 pub mod passes;
+pub mod program;
 
 pub use compile::{
     compile_trace, plan_trace, CompileOptions, CompiledProgram, Exhaustion, SCALE_MARGIN_BITS,

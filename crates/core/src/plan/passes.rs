@@ -41,7 +41,7 @@ use crate::plan::PlanError;
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
     /// Cross-graph rotation hoisting into `RotateMany` (bit-preserving on
-    /// backends whose `rotate_many` is hoist-equivalent, e.g. `Evaluator`).
+    /// backends whose `try_rotate_many` is hoist-equivalent, e.g. `Evaluator`).
     pub hoist_rotations: bool,
     /// Rescale sinking + fusion (value-preserving, not bit-preserving).
     pub place_rescales: bool,

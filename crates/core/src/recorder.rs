@@ -6,39 +6,43 @@
 //! for the paper's benchmarks), wrap the evaluator, run *your actual
 //! program*, and simulate the recorded trace.
 
-use std::cell::RefCell;
-
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
 
 use crate::decompose::{BasicOp, OpParams, OpTrace};
+use crate::ops::HomomorphicOps;
 use crate::plan::graph::{EvalGraph, GraphOp, GraphRecorder};
 
 /// An evaluator wrapper that records every basic operation it executes.
+///
+/// The operations are the [`HomomorphicOps`] methods; an operation the
+/// evaluator rejects is not recorded (it never executed).
 ///
 /// # Examples
 ///
 /// ```no_run
 /// # use he_ckks::prelude::*;
 /// # use poseidon_core::recorder::RecordingEvaluator;
+/// use poseidon_core::HomomorphicOps;
 /// # let ctx = CkksContext::new(CkksParams::toy());
 /// # let mut rng = rand::thread_rng();
 /// # let keys = KeySet::generate(&ctx, &mut rng);
 /// # let ct: Ciphertext = unimplemented!();
-/// let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
-/// let sum = rec.add(&ct, &ct);
-/// let prod = rec.mul(&ct, &ct, &keys);
+/// let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+/// let sum = rec.try_add(&ct, &ct)?;
+/// let prod = rec.try_mul(&sum, &ct, &keys)?;
 /// let trace = rec.into_trace(); // feed to poseidon_sim::Simulator::run
+/// # Ok::<(), EvalError>(())
 /// ```
 #[derive(Debug)]
 pub struct RecordingEvaluator {
     inner: Evaluator,
     special: usize,
     dnum: usize,
-    trace: RefCell<OpTrace>,
-    graph: RefCell<GraphRecorder>,
+    trace: OpTrace,
+    graph: GraphRecorder,
 }
 
 impl RecordingEvaluator {
@@ -52,8 +56,8 @@ impl RecordingEvaluator {
             inner,
             special,
             dnum,
-            trace: RefCell::new(OpTrace::new()),
-            graph: RefCell::new(GraphRecorder::new(rescale_bits)),
+            trace: OpTrace::new(),
+            graph: GraphRecorder::new(rescale_bits),
         }
     }
 
@@ -64,233 +68,130 @@ impl RecordingEvaluator {
 
     /// The recorded trace so far (cloned).
     pub fn trace(&self) -> OpTrace {
-        self.trace.borrow().clone()
+        self.trace.clone()
     }
 
     /// Consumes the recorder, returning the trace.
     pub fn into_trace(self) -> OpTrace {
-        self.trace.into_inner()
+        self.trace
     }
 
     /// Marks a previously produced ciphertext as a graph output (the
     /// values a later [`plan`](crate::plan) replay must reproduce).
     /// Returns `false` for a ciphertext this recorder never saw. Without
     /// any explicit mark, every leaf value becomes an output.
-    pub fn mark_output(&self, ct: &Ciphertext) -> bool {
-        self.graph.borrow_mut().mark_output(ct)
+    pub fn mark_output(&mut self, ct: &Ciphertext) -> bool {
+        self.graph.mark_output(ct)
     }
 
     /// A snapshot of the dataflow graph captured so far (see
     /// [`EvalGraph`]). Unconsumed values become graph outputs unless
     /// [`mark_output`](Self::mark_output) was used.
     pub fn eval_graph(&self) -> EvalGraph {
-        self.graph.borrow().snapshot()
+        self.graph.snapshot()
     }
 
     /// Consumes the recorder, returning both recordings: the flat
     /// hardware trace and the SSA dataflow graph.
     pub fn into_recordings(self) -> (OpTrace, EvalGraph) {
-        (self.trace.into_inner(), self.graph.into_inner().finish())
+        (self.trace, self.graph.finish())
     }
 
-    fn record(&self, op: BasicOp, ct: &Ciphertext) {
+    fn record(&mut self, op: BasicOp, ct: &Ciphertext) {
         let p = OpParams::with_dnum(
             ct.n(),
             ct.level() + 1,
             self.special,
             self.dnum.min(ct.level() + 1),
         );
-        self.trace.borrow_mut().push(op, p, 1);
+        self.trace.push(op, p, 1);
     }
+}
 
-    fn record_graph2(&self, op: GraphOp, a: &Ciphertext, b: &Ciphertext, out: &Ciphertext) {
-        self.graph.borrow_mut().record_binary(op, a, b, out);
-    }
-
-    fn record_graph1(&self, op: GraphOp, a: &Ciphertext, out: &Ciphertext) {
-        self.graph.borrow_mut().record_unary(op, a, out);
-    }
-
-    /// Recorded HAdd.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_add(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible HAdd: nothing is recorded when the operands are
-    /// rejected (the operation never executed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+impl HomomorphicOps for RecordingEvaluator {
+    fn try_add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_add(a, b)?;
         self.record(BasicOp::HAdd, a);
-        self.record_graph2(GraphOp::Add, a, b, &out);
+        self.graph.record_binary(GraphOp::Add, a, b, &out);
         Ok(out)
     }
 
-    /// Recorded HAdd (subtraction variant — same operator cost).
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.try_sub(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
+    fn try_sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_sub(a, b)?;
         self.record(BasicOp::HAdd, a);
-        self.record_graph2(GraphOp::Sub, a, b, &out);
+        self.graph.record_binary(GraphOp::Sub, a, b, &out);
         Ok(out)
     }
 
-    /// Recorded ciphertext-plaintext addition.
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_add_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible ciphertext-plaintext addition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+    fn try_add_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_add_plain(a, pt)?;
         self.record(BasicOp::HAdd, a);
-        let idx = self.graph.borrow_mut().intern_plaintext(pt.clone());
-        self.record_graph1(GraphOp::AddPlain { pt: idx }, a, &out);
+        let idx = self.graph.intern_plaintext(pt.clone());
+        self.graph
+            .record_unary(GraphOp::AddPlain { pt: idx }, a, &out);
         Ok(out)
     }
 
-    /// Recorded PMult.
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.try_mul_plain(a, pt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible PMult (the evaluator's `mul_plain` itself cannot
-    /// fail, so this only exists for surface symmetry and graph capture).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible.
-    pub fn try_mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
+    fn try_mul_plain(&mut self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.mul_plain(a, pt);
         self.record(BasicOp::PMult, a);
-        let idx = self.graph.borrow_mut().intern_plaintext(pt.clone());
-        self.record_graph1(GraphOp::MulPlain { pt: idx }, a, &out);
+        let idx = self.graph.intern_plaintext(pt.clone());
+        self.graph
+            .record_unary(GraphOp::MulPlain { pt: idx }, a, &out);
         Ok(out)
     }
 
-    /// Recorded CMult (with relinearisation).
-    pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_mul(a, b, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible CMult.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_mul(
-        &self,
+    fn try_mul(
+        &mut self,
         a: &Ciphertext,
         b: &Ciphertext,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_mul(a, b, keys)?;
         self.record(BasicOp::CMult, a);
-        self.record_graph2(GraphOp::Mul, a, b, &out);
+        self.graph.record_binary(GraphOp::Mul, a, b, &out);
         Ok(out)
     }
 
-    /// Recorded squaring (CMult cost class).
-    pub fn square(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_square(a, keys).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible squaring.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluator's [`EvalError`].
-    pub fn try_square(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+    fn try_square(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_square(a, keys)?;
         self.record(BasicOp::CMult, a);
-        self.record_graph1(GraphOp::Square, a, &out);
+        self.graph.record_unary(GraphOp::Square, a, &out);
         Ok(out)
     }
 
-    /// Recorded Rescale.
-    pub fn rescale(&self, a: &Ciphertext) -> Ciphertext {
-        self.try_rescale(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible Rescale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError::RescaleAtLevelZero`] from the evaluator.
-    pub fn try_rescale(&self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
+    fn try_rescale(&mut self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_rescale(a)?;
         self.record(BasicOp::Rescale, a);
-        self.record_graph1(GraphOp::Rescale, a, &out);
+        self.graph.record_unary(GraphOp::Rescale, a, &out);
         Ok(out)
     }
 
-    /// Recorded fallible level drop. The flat trace skips it (free data
-    /// movement, no hardware op), but the dataflow graph needs the node
-    /// so a planned replay reproduces the level descent.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::LevelMismatch`] when `level` exceeds the current one.
-    pub fn try_drop_to_level(&self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
+    fn try_drop_to_level(&mut self, a: &Ciphertext, level: usize) -> Result<Ciphertext, EvalError> {
+        // Free data movement: no hardware-trace entry, but the dataflow
+        // graph needs the node so a planned replay reproduces the descent.
         let out = self.inner.try_drop_to_level(a, level)?;
-        self.record_graph1(GraphOp::DropToLevel { level }, a, &out);
+        self.graph
+            .record_unary(GraphOp::DropToLevel { level }, a, &out);
         Ok(out)
     }
 
-    /// Recorded Rotation.
-    pub fn rotate(&self, a: &Ciphertext, steps: i64, keys: &KeySet) -> Ciphertext {
-        self.try_rotate(a, steps, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible rotation: nothing is recorded when the key is
-    /// missing (the operation never executed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError::MissingRotationKey`] from the evaluator.
-    pub fn try_rotate(
-        &self,
+    fn try_rotate(
+        &mut self,
         a: &Ciphertext,
         steps: i64,
         keys: &KeySet,
     ) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_rotate(a, steps, keys)?;
         self.record(BasicOp::Rotation, a);
-        self.record_graph1(GraphOp::Rotate { steps }, a, &out);
+        self.graph.record_unary(GraphOp::Rotate { steps }, a, &out);
         Ok(out)
     }
 
-    /// Recorded conjugation (Rotation cost class).
-    pub fn conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Ciphertext {
-        self.try_conjugate(a, keys)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Recorded fallible conjugation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError::MissingConjugationKey`] from the evaluator.
-    pub fn try_conjugate(&self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
+    fn try_conjugate(&mut self, a: &Ciphertext, keys: &KeySet) -> Result<Ciphertext, EvalError> {
         let out = self.inner.try_conjugate(a, keys)?;
         self.record(BasicOp::Rotation, a);
-        self.record_graph1(GraphOp::Conjugate, a, &out);
+        self.graph.record_unary(GraphOp::Conjugate, a, &out);
         Ok(out)
     }
 }
@@ -326,15 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn records_the_operations_it_executes() {
+    fn records_the_operations_it_executes() -> Result<(), EvalError> {
         let (ctx, keys, mut rng) = setup();
-        let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
         let a = encrypt(&ctx, &keys, &mut rng, 2.0);
         let b = encrypt(&ctx, &keys, &mut rng, 3.0);
-        let s = rec.add(&a, &b);
-        let p = rec.mul(&s, &a, &keys);
-        let r = rec.rescale(&p);
-        let _ = rec.rotate(&r, 1, &keys);
+        let s = rec.try_add(&a, &b)?;
+        let p = rec.try_mul(&s, &a, &keys)?;
+        let r = rec.try_rescale(&p)?;
+        rec.try_rotate(&r, 1, &keys)?;
         let trace = rec.into_trace();
         let ops: Vec<BasicOp> = trace.entries().iter().map(|(op, _, _)| *op).collect();
         assert_eq!(
@@ -349,26 +250,29 @@ mod tests {
         // Levels were captured per entry: rescale ran at the pre-drop level.
         assert_eq!(trace.entries()[2].1.components, a.level() + 1);
         assert_eq!(trace.entries()[3].1.components, a.level());
+        Ok(())
     }
 
     #[test]
-    fn recorded_results_match_unrecorded_evaluator() {
+    fn recorded_results_match_unrecorded_evaluator() -> Result<(), EvalError> {
         let (ctx, keys, mut rng) = setup();
         let eval = Evaluator::new(&ctx);
-        let rec = RecordingEvaluator::new(eval.clone(), 1);
+        let mut rec = RecordingEvaluator::new(eval.clone(), 1);
         let a = encrypt(&ctx, &keys, &mut rng, 1.5);
         let b = encrypt(&ctx, &keys, &mut rng, -0.5);
-        assert_eq!(rec.add(&a, &b), eval.add(&a, &b));
-        assert_eq!(rec.mul(&a, &b, &keys), eval.mul(&a, &b, &keys));
+        assert_eq!(rec.try_add(&a, &b)?, eval.try_add(&a, &b)?);
+        assert_eq!(rec.try_mul(&a, &b, &keys)?, eval.try_mul(&a, &b, &keys)?);
+        Ok(())
     }
 
     #[test]
-    fn dnum_is_clamped_to_available_components() {
+    fn dnum_is_clamped_to_available_components() -> Result<(), EvalError> {
         let (ctx, keys, mut rng) = setup();
-        let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 99);
+        let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 99);
         let a = encrypt(&ctx, &keys, &mut rng, 1.0);
-        let _ = rec.mul(&a, &a, &keys);
+        rec.try_mul(&a, &a, &keys)?;
         let trace = rec.into_trace();
         assert!(trace.entries()[0].1.dnum <= trace.entries()[0].1.components);
+        Ok(())
     }
 }

@@ -17,7 +17,7 @@ use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_core::plan::{execute, plan, Plan, PlanOptions};
 use poseidon_core::recorder::RecordingEvaluator;
-use poseidon_core::PoseidonMachine;
+use poseidon_core::{HomomorphicOps, PoseidonMachine};
 use rand::SeedableRng;
 
 const SLOTS: usize = 4;
@@ -72,22 +72,24 @@ fn record_rotation_fan(
     ctx: &CkksContext,
     keys: &KeySet,
     rng: &mut rand::rngs::StdRng,
-) -> (poseidon_core::EvalGraph, Ciphertext) {
-    let rec = RecordingEvaluator::new(Evaluator::new(ctx), 1);
+) -> Result<(poseidon_core::EvalGraph, Ciphertext), EvalError> {
+    let mut rec = RecordingEvaluator::new(Evaluator::new(ctx), 1);
     let a = encrypt(ctx, keys, rng, 0.5);
-    let rots: Vec<Ciphertext> = (1..=8).map(|s| rec.rotate(&a, s, keys)).collect();
+    let rots = (1..=8)
+        .map(|s| rec.try_rotate(&a, s, keys))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut acc = rots[0].clone();
     for r in &rots[1..] {
-        acc = rec.add(&acc, r);
+        acc = rec.try_add(&acc, r)?;
     }
     rec.mark_output(&acc);
-    (rec.eval_graph(), a)
+    Ok((rec.eval_graph(), a))
 }
 
 #[test]
 fn planned_rotation_fan_is_digest_identical_to_unplanned() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng).expect("recording succeeds");
 
     let unplanned = Plan::passthrough(graph.clone());
     let planned = plan(graph, &PlanOptions::default());
@@ -109,15 +111,15 @@ fn planned_rotation_fan_is_digest_identical_to_unplanned() {
 }
 
 #[test]
-fn replay_reproduces_the_recorded_run_itself() {
+fn replay_reproduces_the_recorded_run_itself() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     let b = encrypt(&ctx, &keys, &mut rng, -0.25);
-    let s = rec.add(&a, &b);
-    let p = rec.mul(&s, &a, &keys);
-    let r = rec.rescale(&p);
-    let rot = rec.rotate(&r, 2, &keys);
+    let s = rec.try_add(&a, &b)?;
+    let p = rec.try_mul(&s, &a, &keys)?;
+    let r = rec.try_rescale(&p)?;
+    let rot = rec.try_rotate(&r, 2, &keys)?;
     rec.mark_output(&rot);
     let (_, graph) = rec.into_recordings();
 
@@ -128,24 +130,25 @@ fn replay_reproduces_the_recorded_run_itself() {
     let out = execute(&unplanned, &mut eval, &[a, b], &keys).unwrap();
     assert_eq!(out.outputs.len(), 1);
     assert_eq!(digest_ciphertext(&out.outputs[0]), digest_ciphertext(&rot));
+    Ok(())
 }
 
 #[test]
-fn rescale_placement_preserves_decrypted_values() {
+fn rescale_placement_preserves_decrypted_values() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
     let a = encrypt(&ctx, &keys, &mut rng, 0.5);
     // square → 4 rotations each followed by a caller-placed rescale → sum:
     // the sink pass shares one rescale, the hoist pass batches the
     // rotations.
-    let x = rec.square(&a, &keys);
+    let x = rec.try_square(&a, &keys)?;
     let mut acc: Option<Ciphertext> = None;
     for s in 1..=4 {
-        let r = rec.rotate(&x, s, &keys);
-        let rr = rec.rescale(&r);
+        let r = rec.try_rotate(&x, s, &keys)?;
+        let rr = rec.try_rescale(&r)?;
         acc = Some(match acc {
             None => rr,
-            Some(prev) => rec.add(&prev, &rr),
+            Some(prev) => rec.try_add(&prev, &rr)?,
         });
     }
     let out_ct = acc.unwrap();
@@ -170,16 +173,17 @@ fn rescale_placement_preserves_decrypted_values() {
         &decrypt(&ctx, &keys, &opt.outputs[0]),
         1e-4,
     );
+    Ok(())
 }
 
 #[test]
-fn dead_values_are_not_executed() {
+fn dead_values_are_not_executed() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
-    let used = rec.square(&a, &keys);
-    let dead = rec.rotate(&a, 1, &keys);
-    let _dead2 = rec.add(&dead, &dead);
+    let used = rec.try_square(&a, &keys)?;
+    let dead = rec.try_rotate(&a, 1, &keys)?;
+    let _dead2 = rec.try_add(&dead, &dead)?;
     assert!(rec.mark_output(&used));
     let (_, graph) = rec.into_recordings();
 
@@ -195,12 +199,13 @@ fn dead_values_are_not_executed() {
         digest_ciphertext(&base.outputs[0]),
         digest_ciphertext(&opt.outputs[0])
     );
+    Ok(())
 }
 
 #[test]
 fn planned_execution_agrees_across_all_backends() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng).expect("recording succeeds");
     let planned = plan(graph, &PlanOptions::default());
 
     let mut eval = Evaluator::new(&ctx);
@@ -228,7 +233,7 @@ fn planned_execution_agrees_across_all_backends() {
 #[test]
 fn executor_rejects_wrong_input_count() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng).expect("recording succeeds");
     let planned = plan(graph, &PlanOptions::default());
     let mut eval = Evaluator::new(&ctx);
     match execute(&planned, &mut eval, &[a.clone(), a], &keys) {
@@ -240,7 +245,7 @@ fn executor_rejects_wrong_input_count() {
 #[test]
 fn executor_surfaces_missing_rotation_keys() {
     let (ctx, full_keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &full_keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &full_keys, &mut rng).expect("recording succeeds");
     let planned = plan(graph, &PlanOptions::default());
     // Fresh keyset without rotation keys: the hoisted batch must fail
     // with the missing key, not panic.
@@ -259,7 +264,7 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
     let fwd = |d: &Snapshot| d.get("ntt.forward").map_or(0, |s| s.count);
 
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng).expect("recording succeeds");
     let unplanned = Plan::passthrough(graph.clone());
     let planned = plan(graph, &PlanOptions::default());
     let mut eval = Evaluator::new(&ctx);
@@ -285,7 +290,7 @@ fn planner_halves_forward_ntt_on_rotation_fan() {
 #[test]
 fn value_preserving_digests_are_deterministic() {
     let (ctx, keys, mut rng) = setup();
-    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng);
+    let (graph, a) = record_rotation_fan(&ctx, &keys, &mut rng).expect("recording succeeds");
     let planned = plan(graph, &PlanOptions::default());
     let mut eval = Evaluator::new(&ctx);
     let once = execute(&planned, &mut eval, std::slice::from_ref(&a), &keys).unwrap();

@@ -8,11 +8,12 @@
 use he_ckks::cipher::{Ciphertext, Plaintext};
 use he_ckks::context::CkksContext;
 use he_ckks::encoding::Complex;
+use he_ckks::error::EvalError;
 use he_ckks::eval::Evaluator;
 use he_ckks::keys::KeySet;
 use he_ckks::params::CkksParams;
 use poseidon_core::decompose::{BasicOp, OpParams};
-use poseidon_core::{Operator, PoseidonMachine};
+use poseidon_core::{HomomorphicOps, Operator, PoseidonMachine};
 use rand::SeedableRng;
 
 fn setup() -> (CkksContext, KeySet, rand::rngs::StdRng) {
@@ -36,15 +37,15 @@ fn encrypt(ctx: &CkksContext, keys: &KeySet, rng: &mut rand::rngs::StdRng, v: f6
 /// Per-operator snapshot items must equal `usage()` exactly — they are two
 /// views over the same atomics, so any drift is a double-count bug.
 #[test]
-fn snapshot_items_equal_usage_exactly() {
+fn snapshot_items_equal_usage_exactly() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.5);
     let b = encrypt(&ctx, &keys, &mut rng, -2.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let s = m.hadd(&a, &b);
-    let p = m.cmult(&s, &a, &keys);
-    let r = m.rescale(&p);
-    let _ = m.rotate(&r, 1, &keys);
+    let s = m.try_add(&a, &b)?;
+    let p = m.try_mul(&s, &a, &keys)?;
+    let r = m.try_rescale(&p)?;
+    let _ = m.try_rotate(&r, 1, &keys)?;
 
     let usage = m.usage();
     assert!(usage.total() > 0, "workload produced no operator traffic");
@@ -60,18 +61,19 @@ fn snapshot_items_equal_usage_exactly() {
         assert_eq!(stats.items, expected, "{scope} diverged from usage()");
         assert!(stats.count > 0, "{scope} recorded items but no events");
     }
+    Ok(())
 }
 
 /// HAdd is the one operation whose machine dataflow is element-for-element
 /// the Table I decomposition (2·L·N MA, nothing else) — assert the
 /// telemetry counters reproduce the model count exactly.
 #[test]
-fn hadd_counters_match_table1_decomposition_exactly() {
+fn hadd_counters_match_table1_decomposition_exactly() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 0.25);
     let b = encrypt(&ctx, &keys, &mut rng, 0.75);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.hadd(&a, &b);
+    let _ = m.try_add(&a, &b)?;
 
     let p = OpParams::new(ctx.n(), a.level() + 1, ctx.special_basis().len());
     let model = BasicOp::HAdd.operator_counts(&p);
@@ -81,17 +83,18 @@ fn hadd_counters_match_table1_decomposition_exactly() {
     assert_eq!(usage.ntt, 0);
     assert_eq!(usage.auto, 0);
     assert_eq!(usage.sbt, 0);
+    Ok(())
 }
 
 /// Rotation exercises every operator in Table I's checkmark row; the
 /// machine's measured nonzero pattern must reproduce it, and the
 /// automorphism element count is exact (2·L·N).
 #[test]
-fn rotation_usage_pattern_matches_table1_row() {
+fn rotation_usage_pattern_matches_table1_row() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.rotate(&a, 1, &keys);
+    let _ = m.try_rotate(&a, 1, &keys)?;
 
     let p = OpParams::new(ctx.n(), a.level() + 1, ctx.special_basis().len());
     let usage = m.usage();
@@ -104,18 +107,19 @@ fn rotation_usage_pattern_matches_table1_row() {
     }
     let model = BasicOp::Rotation.operator_counts(&p);
     assert_eq!(usage.auto, model.auto, "Automorphism elements diverge");
+    Ok(())
 }
 
 /// The evaluator's per-instance metrics and the global scopes observe the
 /// same keyswitch digits: `keyswitch.digit` spans count one event per
 /// (digit, operation) with nonzero time.
 #[test]
-fn evaluator_scopes_observe_keyswitch_digits() {
+fn evaluator_scopes_observe_keyswitch_digits() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let eval = Evaluator::new(&ctx);
     let before = poseidon_telemetry::Registry::global().snapshot();
-    let _ = eval.rotate(&a, 1, &keys);
+    let _ = eval.try_rotate(&a, 1, &keys)?;
     let after = poseidon_telemetry::Registry::global().snapshot();
     let delta = after.since(&before);
     let digits = delta.get("keyswitch.digit").expect("scope registered");
@@ -124,18 +128,20 @@ fn evaluator_scopes_observe_keyswitch_digits() {
     let rot = delta.get("eval.rotate").expect("scope registered");
     assert_eq!(rot.count, 1);
     assert!(rot.nanos > 0, "rotation span recorded no time");
+    Ok(())
 }
 
 /// `Operator::ALL`-driven reset: counters go back to zero and stay usable.
 #[test]
-fn reset_usage_clears_all_metrics() {
+fn reset_usage_clears_all_metrics() -> Result<(), EvalError> {
     let (ctx, keys, mut rng) = setup();
     let a = encrypt(&ctx, &keys, &mut rng, 1.0);
     let mut m = PoseidonMachine::new(&ctx, 8, 1);
-    let _ = m.rotate(&a, 1, &keys);
+    let _ = m.try_rotate(&a, 1, &keys)?;
     assert!(m.usage().total() > 0);
     m.reset_usage();
     assert_eq!(m.usage().total(), 0);
-    let _ = m.hadd(&a, &a);
+    let _ = m.try_add(&a, &a)?;
     assert!(m.usage().uses(Operator::Ma));
+    Ok(())
 }

@@ -325,43 +325,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! Serde support: a basis serialises as `(n, primes)`; the transform
-    //! tables are deterministic precomputations rebuilt on deserialise.
-    use super::RnsBasis;
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    #[derive(Serialize, Deserialize)]
-    struct BasisRepr {
-        n: usize,
-        primes: Vec<u64>,
-    }
-
-    impl Serialize for RnsBasis {
-        fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            BasisRepr {
-                n: self.n,
-                primes: self.primes.clone(),
-            }
-            .serialize(s)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for RnsBasis {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let repr = BasisRepr::deserialize(d)?;
-            if !repr.n.is_power_of_two() || repr.n < 2 {
-                return Err(D::Error::custom("ring degree must be a power of two"));
-            }
-            for &q in &repr.primes {
-                if !he_math::prime::is_prime(q) || (q - 1) % (2 * repr.n as u64) != 0 {
-                    return Err(D::Error::custom(format!("{q} is not an NTT prime")));
-                }
-            }
-            Ok(RnsBasis::new(repr.n, repr.primes))
-        }
-    }
-}

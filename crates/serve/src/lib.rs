@@ -139,7 +139,7 @@ pub enum Request {
     /// its full dataflow instead of per wire op.
     Program {
         /// Program text in the `.pos` trace format
-        /// (`poseidon_sim::program`).
+        /// (`poseidon_core::plan::program`).
         text: String,
         /// Seed ciphertext bound to every graph input slot.
         a: Ciphertext,

@@ -998,7 +998,7 @@ fn run_program(
     use he_ckks::error::EvalError;
     use poseidon_core::plan::{execute, plan_trace, PlanOptions};
 
-    let trace = poseidon_sim::program::parse(text)
+    let trace = poseidon_core::plan::program::parse(text)
         .map_err(|e| EvalError::InvalidParams(format!("program parse: {e}")))?;
     let plan = plan_trace(&trace, &tenant.ctx, &PlanOptions::default())
         .map_err(|e| EvalError::InvalidParams(format!("program planning: {e}")))?;

@@ -63,7 +63,7 @@ fn served_program_matches_local_planned_execution() {
         &[Complex::new(0.5, 0.0), Complex::new(-0.25, 0.125)],
     );
 
-    let trace = poseidon_sim::program::parse(PROGRAM).expect("parse");
+    let trace = poseidon_core::plan::program::parse(PROGRAM).expect("parse");
     let plan = plan_trace(&trace, &ctx, &PlanOptions::default()).expect("plan");
     let inputs = vec![a.clone(); plan.graph.inputs().len()];
     let mut eval = he_ckks::eval::Evaluator::new(&ctx);
@@ -167,7 +167,7 @@ fn program_submission_round_trips_over_tcp() {
         .expect("program over tcp");
     let served = poseidon_wire::decode_ciphertext(&ctx, &reply_frame).expect("decode reply");
 
-    let trace = poseidon_sim::program::parse(PROGRAM).expect("parse");
+    let trace = poseidon_core::plan::program::parse(PROGRAM).expect("parse");
     let plan = plan_trace(&trace, &ctx, &PlanOptions::default()).expect("plan");
     let inputs = vec![a.clone(); plan.graph.inputs().len()];
     let mut eval = he_ckks::eval::Evaluator::new(&ctx);

@@ -37,7 +37,7 @@ fn decrypt(ctx: &CkksContext, keys: &KeySet, ct: &Ciphertext, n: usize) -> Vec<f
 }
 
 #[test]
-fn polynomial_pipeline_matches_plaintext_math() {
+fn polynomial_pipeline_matches_plaintext_math() -> Result<(), EvalError> {
     // Evaluate f(x, y) = (x·y − x)·y + 2 across four slots.
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rng();
@@ -48,15 +48,15 @@ fn polynomial_pipeline_matches_plaintext_math() {
     let ct_x = encrypt(&ctx, &keys, &mut rng, &xs);
     let ct_y = encrypt(&ctx, &keys, &mut rng, &ys);
 
-    let xy = eval.rescale(&eval.mul(&ct_x, &ct_y, &keys));
-    let xy_minus_x = eval.sub(&xy, &eval.adjust(&ct_x, xy.level(), xy.scale()));
-    let t = eval.rescale(&eval.mul(
+    let xy = eval.try_rescale(&eval.try_mul(&ct_x, &ct_y, &keys)?)?;
+    let xy_minus_x = eval.try_sub(&xy, &eval.try_adjust(&ct_x, xy.level(), xy.scale())?)?;
+    let t = eval.try_rescale(&eval.try_mul(
         &xy_minus_x,
-        &eval.adjust(&ct_y, xy_minus_x.level(), xy_minus_x.scale()),
+        &eval.try_adjust(&ct_y, xy_minus_x.level(), xy_minus_x.scale())?,
         &keys,
-    ));
+    )?)?;
     let two = eval.encode_at_level(&[Complex::new(2.0, 0.0)], t.scale(), t.level());
-    let out = eval.add_plain(&t, &two);
+    let out = eval.try_add_plain(&t, &two)?;
 
     let got = decrypt(&ctx, &keys, &out, 4);
     for i in 0..4 {
@@ -67,6 +67,7 @@ fn polynomial_pipeline_matches_plaintext_math() {
             got[i]
         );
     }
+    Ok(())
 }
 
 #[test]
@@ -135,7 +136,7 @@ fn benchmarks_rank_like_the_paper() {
 }
 
 #[test]
-fn rotation_composes_with_cmult_across_levels() {
+fn rotation_composes_with_cmult_across_levels() -> Result<(), EvalError> {
     let ctx = CkksContext::new(CkksParams::small());
     let mut rng = rng();
     let mut keys = KeySet::generate(&ctx, &mut rng);
@@ -146,30 +147,33 @@ fn rotation_composes_with_cmult_across_levels() {
     let ct = encrypt(&ctx, &keys, &mut rng, &vals);
 
     // rot(ct, 2) ⊙ ct then check slot semantics.
-    let rot = eval.rotate(&ct, 2, &keys);
-    let prod = eval.rescale(&eval.mul(&rot, &ct, &keys));
+    let rot = eval.try_rotate(&ct, 2, &keys)?;
+    let prod = eval.try_rescale(&eval.try_mul(&rot, &ct, &keys)?)?;
     let got = decrypt(&ctx, &keys, &prod, slots);
     for i in 0..8 {
         let want = vals[(i + 2) % slots] * vals[i];
         assert!((got[i] - want).abs() < 0.02, "slot {i}");
     }
+    Ok(())
 }
 
 #[test]
-fn recorded_session_simulates_on_the_accelerator_model() {
+fn recorded_session_simulates_on_the_accelerator_model() -> Result<(), EvalError> {
     // Record a real computation, then predict its accelerator time.
     use poseidon::core::recorder::RecordingEvaluator;
+    use poseidon::core::HomomorphicOps;
     let ctx = CkksContext::new(CkksParams::toy());
     let mut rng = rng();
     let mut keys = KeySet::generate(&ctx, &mut rng);
     keys.add_rotation_key(1, &mut rng);
-    let rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
+    let mut rec = RecordingEvaluator::new(Evaluator::new(&ctx), 1);
 
     let a = encrypt(&ctx, &keys, &mut rng, &[1.0, 2.0, 3.0, 4.0]);
     let b = encrypt(&ctx, &keys, &mut rng, &[0.5, 0.5, 0.5, 0.5]);
-    let s = rec.add(&a, &b);
-    let p = rec.rescale(&rec.mul(&s, &b, &keys));
-    let out = rec.rotate(&p, 1, &keys);
+    let s = rec.try_add(&a, &b)?;
+    let prod = rec.try_mul(&s, &b, &keys)?;
+    let p = rec.try_rescale(&prod)?;
+    let out = rec.try_rotate(&p, 1, &keys)?;
 
     // Functional result is correct...
     let got = decrypt(&ctx, &keys, &out, 4);
@@ -183,4 +187,5 @@ fn recorded_session_simulates_on_the_accelerator_model() {
     let report = Simulator::new(AcceleratorConfig::poseidon_u280()).run(&trace);
     assert!(report.seconds > 0.0);
     assert!(report.time_share_percent(BasicOp::Rotation) > 10.0);
+    Ok(())
 }

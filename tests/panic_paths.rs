@@ -1,8 +1,6 @@
 //! Regression tests for the panic-free evaluation surface: the degenerate
-//! inputs that used to abort the process mid-pipeline now come back as
-//! typed [`EvalError`]s through the `try_*` API, while the legacy
-//! panicking wrappers keep their historical messages for callers that
-//! still match on them.
+//! inputs that used to abort the process mid-pipeline come back as typed
+//! [`EvalError`]s through the `try_*` API, the only way to call an op.
 
 use poseidon::ckks::bootstrap::Bootstrapper;
 use poseidon::ckks::encoding::Complex;
@@ -66,8 +64,11 @@ fn zero_matrix_apply_is_empty_operands_not_a_panic() {
     );
 }
 
-/// The panicking wrappers still panic — with the same message text they
-/// always had, routed through the `try_*` path underneath.
+/// The input the old panicking `apply` wrapper aborted on (a zero matrix
+/// and a key set without rotation keys) now comes back as the typed
+/// `EmptyOperands`, whose message is the stable text error replies carry.
+/// The plain diagonal method requests no rotation for a zero diagonal, so
+/// the missing rotation keys are never reported first.
 #[test]
 fn legacy_wrappers_keep_their_panic_messages() {
     let ctx = CkksContext::new(CkksParams::toy());
@@ -77,16 +78,9 @@ fn legacy_wrappers_keep_their_panic_messages() {
     let ct = encrypt(&ctx, &keys, &mut rng);
     let zero = PlainMatrix::new(vec![vec![Complex::new(0.0, 0.0); 4]; 4]);
 
-    let panic_message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        zero.apply(&eval, &keys, &ct)
-    }))
-    .expect_err("zero matrix must still panic through the legacy wrapper");
-    let text = panic_message
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| panic_message.downcast_ref::<String>().cloned())
-        .expect("panic payload should be a string");
-    assert_eq!(text, "matrix must have a non-zero diagonal");
+    let err = zero.try_apply(&eval, &keys, &ct).unwrap_err();
+    assert_eq!(err, EvalError::EmptyOperands);
+    assert_eq!(err.to_string(), "need at least one ciphertext");
 }
 
 /// Wire + serve smoke from the facade crate: a ciphertext survives the
@@ -120,7 +114,7 @@ fn facade_wire_and_serve_round_trip() {
             },
         )
         .expect("served add");
-    let local = Evaluator::new(&ctx).add(&ct, &ct);
+    let local = Evaluator::new(&ctx).try_add(&ct, &ct).expect("local add");
     assert_eq!(served.c0(), local.c0());
     assert_eq!(served.c1(), local.c1());
 }
